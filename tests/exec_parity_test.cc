@@ -1,18 +1,31 @@
-// Engine parity: the compiled ∆-script engine (src/exec) must be
-// byte-identical to the interpreter on every observable surface — table
-// contents, AccessStats, MaintainResult phases, error messages, fault-site
-// enumeration and rollback behaviour — at every thread count, on every
-// workload shape: the running example, the script_io fuzz corpus view, and
-// all eight BSMA views. Any divergence is a compiler or VM bug, never an
-// acceptable "optimization".
+// Engine parity against golden files: every observable surface of a
+// maintenance epoch — table contents, AccessStats, MaintainResult phases,
+// error messages, fault-site enumeration, rollback behaviour, ladder
+// outcomes and the MVCC redo hand-off — is pinned in the committed files
+// under tests/golden/exec_parity/, recorded from the per-step interpreter.
+// Both ∆-script engines (the interpreter and the compiled VM, src/exec) are
+// checked against them at every thread count, on every workload shape: the
+// running example, the script_io fuzz corpus view, and all eight BSMA
+// views. Any divergence is a compiler or VM bug, never an acceptable
+// "optimization".
+//
+// A golden file holds one test case: a sequence of blocks, each opened by
+// an "@@ <key>" line. On a mismatch the test prints the actual block in
+// file format, so a deliberate behaviour change is made by editing the
+// file and reviewing that edit — there is no regeneration switch.
 
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <map>
 #include <optional>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "src/common/str_util.h"
 #include "src/core/compose.h"
 #include "src/core/maintainer.h"
 #include "src/core/modification_log.h"
@@ -27,18 +40,88 @@
 namespace idivm {
 namespace {
 
-std::map<std::string, std::string> SnapshotAll(Database* db) {
-  std::map<std::string, std::string> out;
+// ---- Golden files -------------------------------------------------------
+
+// One golden file, loaded whole. Every recorded block must be checked at
+// least once and every checked block must be recorded, so a case cannot
+// silently grow or lose coverage.
+class Golden {
+ public:
+  explicit Golden(const std::string& name)
+      : path_(StrCat(IDIVM_GOLDEN_DIR, "/exec_parity/", name, ".golden")) {
+    std::ifstream in(path_);
+    if (!in) {
+      ADD_FAILURE() << "missing golden file " << path_;
+      return;
+    }
+    std::string line;
+    std::string* block = nullptr;
+    while (std::getline(in, line)) {
+      if (line.rfind("@@ ", 0) == 0) {
+        block = &blocks_[line.substr(3)];
+      } else if (block != nullptr) {
+        *block += line + "\n";
+      }
+    }
+  }
+
+  ~Golden() {
+    for (const auto& [key, text] : blocks_) {
+      EXPECT_TRUE(checked_.count(key) > 0)
+          << path_ << ": recorded block \"" << key << "\" was never produced";
+    }
+  }
+
+  // Expects `actual` to be the block recorded under `key`.
+  void Expect(const std::string& key, const std::string& actual,
+              const std::string& context) {
+    checked_.insert(key);
+    const auto it = blocks_.find(key);
+    if (it != blocks_.end() && it->second == actual) return;
+    ADD_FAILURE() << path_ << " (" << context << "): "
+                  << (it == blocks_.end() ? "no recorded block" : "mismatch")
+                  << "; actual block in file format:\n@@ " << key << "\n"
+                  << actual;
+  }
+
+ private:
+  std::string path_;
+  std::map<std::string, std::string> blocks_;
+  std::set<std::string> checked_;
+};
+
+uint64_t Fnv64(const std::string& bytes) {
+  uint64_t hash = 14695981039346656037ull;
+  for (const unsigned char c : bytes) {
+    hash ^= c;
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
+
+std::string Hex(uint64_t value) {
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(value));
+  return buf;
+}
+
+std::string JoinSnapshots(Database* db) {
+  std::string out;
   for (const std::string& name : db->TableNames()) {
-    out[name] = db->GetTable(name).SnapshotUncounted().Sorted().ToString();
+    out += "== " + name + " ==\n" +
+           db->GetTable(name).SnapshotUncounted().Sorted().ToString();
   }
   return out;
 }
 
-std::string JoinSnapshots(const std::map<std::string, std::string>& tables) {
+// One "<table> rows=<n> fnv64=<hash of sorted contents>" line per table.
+std::string TableFingerprints(Database* db) {
   std::string out;
-  for (const auto& [name, contents] : tables) {
-    out += "== " + name + " ==\n" + contents;
+  for (const std::string& name : db->TableNames()) {
+    const Relation rel = db->GetTable(name).SnapshotUncounted().Sorted();
+    out += StrCat(name, " rows=", rel.size(), " fnv64=",
+                  Hex(Fnv64(rel.ToString())), "\n");
   }
   return out;
 }
@@ -59,8 +142,8 @@ std::map<std::string, std::vector<Modification>> MakeNetChanges(
 }
 
 // Counter values parsed out of the global registry's text export; used to
-// compare per-epoch counter *deltas* between engines. Labelled counter
-// names contain spaces, so the value is the last space-separated token.
+// record per-epoch counter *deltas*. Labelled counter names contain
+// spaces, so the value is the last space-separated token.
 std::map<std::string, int64_t> CounterSnapshot() {
   std::map<std::string, int64_t> out;
   const std::string text = obs::MetricsRegistry::Global().ExportText();
@@ -77,9 +160,9 @@ std::map<std::string, int64_t> CounterSnapshot() {
   return out;
 }
 
-// Engine-specific metrics legitimately differ between the two runs; every
-// other counter (epochs, rollbacks, APPLY volume, per-rule accesses) must
-// move by exactly the same amount.
+// Engine-specific metrics describe how the epoch was executed, not what it
+// did, and are not recorded; every other counter (epochs, rollbacks, APPLY
+// volume, undo batches, per-rule accesses) is.
 bool IsEngineSpecificCounter(const std::string& name) {
   return name.find("program_cache") != std::string::npos ||
          name.find("fused_steps") != std::string::npos ||
@@ -103,12 +186,42 @@ std::map<std::string, int64_t> CounterDelta(
 struct EpochOutcome {
   std::string status;           // Status::ToString()
   std::string tables;           // all tables, sorted, concatenated
+  std::string fingerprints;     // TableFingerprints()
   std::string stats;            // AccessStats::ToString()
   std::string result;           // MaintainResult::ToString() (empty on error)
   uint64_t sites_visited = 0;   // fault surface size
   int faults_fired = 0;
   std::map<std::string, int64_t> counters;  // engine-agnostic deltas
+
+  std::string RenderCounters() const {
+    std::string out;
+    for (const auto& [name, delta] : counters) {
+      out += StrCat("  ", name, " ", delta, "\n");
+    }
+    return out;
+  }
+
+  // The full block of a clean epoch: sorted contents of every table.
+  std::string Render() const {
+    return StrCat("status: ", status, "\nfaults_fired: ", faults_fired,
+                  "\nstats: ", stats, "\nresult:\n", result,
+                  "\ncounters:\n", RenderCounters(), "tables:\n", tables);
+  }
+
+  // The block of a failed epoch: tables as fingerprints.
+  std::string RenderFailed() const {
+    return StrCat("status: ", status, "\nfaults_fired: ", faults_fired,
+                  "\nstats: ", stats, "\ncounters:\n", RenderCounters(),
+                  "tables:\n", fingerprints);
+  }
 };
+
+struct EngineRun {
+  ExecEngine engine;
+  const char* name;
+};
+constexpr EngineRun kEngines[] = {{ExecEngine::kInterpret, "interpret"},
+                                  {ExecEngine::kCompiled, "compiled"}};
 
 EpochOutcome RunEpoch(const std::string& shape, ExecEngine engine,
                       int threads,
@@ -136,7 +249,8 @@ EpochOutcome RunEpoch(const std::string& shape, ExecEngine engine,
   MaintainResult result;
   const Status status = m.TryMaintain(net, options, &result);
   out.status = status.ToString();
-  out.tables = JoinSnapshots(SnapshotAll(&db));
+  out.tables = JoinSnapshots(&db);
+  out.fingerprints = TableFingerprints(&db);
   out.stats = db.stats().ToString();
   if (status.ok()) out.result = result.ToString();
   out.sites_visited = injector.sites_visited();
@@ -145,101 +259,83 @@ EpochOutcome RunEpoch(const std::string& shape, ExecEngine engine,
   return out;
 }
 
-void ExpectOutcomesEqual(const EpochOutcome& interpret,
-                         const EpochOutcome& compiled,
-                         const std::string& context) {
-  EXPECT_EQ(compiled.status, interpret.status) << context;
-  EXPECT_EQ(compiled.tables, interpret.tables) << context;
-  EXPECT_EQ(compiled.stats, interpret.stats) << context;
-  EXPECT_EQ(compiled.result, interpret.result) << context;
-  EXPECT_EQ(compiled.faults_fired, interpret.faults_fired) << context;
-  EXPECT_EQ(compiled.counters, interpret.counters) << context;
-}
-
 class ExecParityShapeTest : public ::testing::TestWithParam<const char*> {};
 
-// Clean epochs at 1/2/4/8 script threads: the compiled engine (at any
-// thread count) must match the sequential interpreter bit for bit.
+// Clean epochs at 1/2/4/8 script threads match the recorded outcome bit
+// for bit.
 TEST_P(ExecParityShapeTest, CleanEpochMatchesAtEveryThreadCount) {
   const std::string shape = GetParam();
-  const EpochOutcome reference =
-      RunEpoch(shape, ExecEngine::kInterpret, /*threads=*/1);
-  ASSERT_EQ(reference.status, OkStatus().ToString());
-  for (const int threads : {1, 2, 4, 8}) {
-    const EpochOutcome compiled =
-        RunEpoch(shape, ExecEngine::kCompiled, threads);
-    ExpectOutcomesEqual(reference, compiled,
-                        shape + " threads=" + std::to_string(threads));
-    // The interpreter is thread-count invariant too; pin that while here.
-    const EpochOutcome interpret =
-        RunEpoch(shape, ExecEngine::kInterpret, threads);
-    ExpectOutcomesEqual(reference, interpret,
-                        shape + " interpret threads=" +
-                            std::to_string(threads));
+  Golden golden(StrCat("clean_", shape));
+  for (const EngineRun& e : kEngines) {
+    for (const int threads : {1, 2, 4, 8}) {
+      const EpochOutcome outcome = RunEpoch(shape, e.engine, threads);
+      EXPECT_EQ(outcome.status, OkStatus().ToString());
+      golden.Expect("epoch", outcome.Render(),
+                    StrCat(shape, " ", e.name, " threads=", threads));
+    }
   }
 }
 
-// Both engines expose the identical fault surface, and an injected fault
-// at *every* site fails with the identical error, fires exactly once, and
-// rolls every table back to the identical pre-epoch bytes.
+// The fault surface has the recorded size, and an injected fault at
+// *every* site fails with the recorded error, fires exactly once, and
+// rolls every table back to the recorded (pre-epoch) bytes.
 TEST_P(ExecParityShapeTest, EveryFaultSiteDivergesNowhere) {
   const std::string shape = GetParam();
-  const EpochOutcome probe_i =
-      RunEpoch(shape, ExecEngine::kInterpret, /*threads=*/1);
-  const EpochOutcome probe_c =
-      RunEpoch(shape, ExecEngine::kCompiled, /*threads=*/1);
-  ASSERT_EQ(probe_c.sites_visited, probe_i.sites_visited) << shape;
-  ASSERT_GT(probe_i.sites_visited, 0u) << shape;
-
-  for (uint64_t site = 0; site < probe_i.sites_visited; ++site) {
-    const std::string context = shape + " site " + std::to_string(site);
-    const EpochOutcome interpret =
-        RunEpoch(shape, ExecEngine::kInterpret, /*threads=*/1, site);
-    const EpochOutcome compiled =
-        RunEpoch(shape, ExecEngine::kCompiled, /*threads=*/1, site);
-    EXPECT_NE(interpret.status, OkStatus().ToString()) << context;
-    ExpectOutcomesEqual(interpret, compiled, context);
+  Golden golden(StrCat("fault_sites_", shape));
+  for (const EngineRun& e : kEngines) {
+    const EpochOutcome probe = RunEpoch(shape, e.engine, /*threads=*/1);
+    ASSERT_GT(probe.sites_visited, 0u) << shape;
+    golden.Expect("sites", StrCat(probe.sites_visited, "\n"),
+                  StrCat(shape, " ", e.name));
+    for (uint64_t site = 0; site < probe.sites_visited; ++site) {
+      const std::string context =
+          StrCat(shape, " ", e.name, " site ", site);
+      const EpochOutcome outcome =
+          RunEpoch(shape, e.engine, /*threads=*/1, site);
+      EXPECT_NE(outcome.status, OkStatus().ToString()) << context;
+      golden.Expect(StrCat("site ", site), outcome.RenderFailed(), context);
+    }
   }
 }
 
 // Batched undo capture: the per-APPLY flush boundary ("apply-flush:<t>")
-// is a real fault site in both engines. A fault fired there lands *after*
-// the APPLY's whole before-image batch reached the epoch undo, so the
-// faulted run must still show the contract-v5 batch counters — and roll
-// back from those batched entries identically in both engines (the
-// byte-identity against pre-epoch state is pinned by chaos_maintain_test's
-// all-site sweep; parity here transfers it to the compiled engine).
+// is a real fault site. A fault fired there lands *after* the APPLY's
+// whole before-image batch reached the epoch undo, so the faulted run must
+// still show the contract-v5 batch counters — and roll back from those
+// batched entries to the recorded state (the byte-identity against
+// pre-epoch state is pinned by chaos_maintain_test's all-site sweep).
 TEST_P(ExecParityShapeTest, ApplyFlushFaultRollsBackBatchedUndo) {
   const std::string shape = GetParam();
-  const EpochOutcome probe =
-      RunEpoch(shape, ExecEngine::kInterpret, /*threads=*/1);
-  ASSERT_EQ(probe.status, OkStatus().ToString());
-  // A clean epoch records whole-APPLY undo batches.
-  ASSERT_GT(probe.counters.count("idivm_undo_batches_total"), 0u) << shape;
-  ASSERT_GT(probe.counters.at("idivm_undo_batches_total"), 0) << shape;
+  Golden golden(StrCat("apply_flush_", shape));
+  for (const EngineRun& e : kEngines) {
+    const EpochOutcome probe = RunEpoch(shape, e.engine, /*threads=*/1);
+    ASSERT_EQ(probe.status, OkStatus().ToString());
+    // A clean epoch records whole-APPLY undo batches.
+    ASSERT_GT(probe.counters.count("idivm_undo_batches_total"), 0u) << shape;
+    ASSERT_GT(probe.counters.at("idivm_undo_batches_total"), 0) << shape;
 
-  int flush_sites = 0;
-  int flush_sites_with_batches = 0;
-  for (uint64_t site = 0; site < probe.sites_visited; ++site) {
-    const EpochOutcome interpret =
-        RunEpoch(shape, ExecEngine::kInterpret, /*threads=*/1, site);
-    if (interpret.status.find("apply-flush:") == std::string::npos) continue;
-    ++flush_sites;
-    const std::string context = shape + " flush site " + std::to_string(site);
-    const EpochOutcome compiled =
-        RunEpoch(shape, ExecEngine::kCompiled, /*threads=*/1, site);
-    ExpectOutcomesEqual(interpret, compiled, context);
-    // The batch flushed before the site fired: a faulted epoch whose
-    // applies modified anything recorded batched before-images, then
-    // rolled them back. (An APPLY of a no-op diff flushes an empty batch,
-    // which is counterless by design — so assert over the whole sweep.)
-    const auto batches = interpret.counters.find("idivm_undo_batches_total");
-    if (batches != interpret.counters.end() && batches->second > 0) {
-      ++flush_sites_with_batches;
+    int flush_sites = 0;
+    int flush_sites_with_batches = 0;
+    for (uint64_t site = 0; site < probe.sites_visited; ++site) {
+      const EpochOutcome outcome =
+          RunEpoch(shape, e.engine, /*threads=*/1, site);
+      if (outcome.status.find("apply-flush:") == std::string::npos) continue;
+      ++flush_sites;
+      golden.Expect(StrCat("site ", site), outcome.RenderFailed(),
+                    StrCat(shape, " ", e.name, " flush site ", site));
+      // The batch flushed before the site fired: a faulted epoch whose
+      // applies modified anything recorded batched before-images, then
+      // rolled them back. (An APPLY of a no-op diff flushes an empty
+      // batch, which is counterless by design — so assert over the whole
+      // sweep.)
+      const auto batches = outcome.counters.find("idivm_undo_batches_total");
+      if (batches != outcome.counters.end() && batches->second > 0) {
+        ++flush_sites_with_batches;
+      }
     }
+    EXPECT_GT(flush_sites, 0) << shape << " " << e.name;
+    EXPECT_GT(flush_sites_with_batches, 0) << shape << " " << e.name;
   }
-  EXPECT_GT(flush_sites, 0) << shape;
-  EXPECT_GT(flush_sites_with_batches, 0) << shape;
 }
 
 // The specialized γ kernel engages on the compiled agg shape and never on
@@ -263,20 +359,21 @@ TEST(ExecParityTest, CompiledAggEngagesKernel) {
   EXPECT_EQ(counter("idivm_agg_kernel_misses_total"), misses0);
 }
 
-// The epoch op budget trips at the same point with the same message, and
-// the rollback is identical.
+// The epoch op budget trips at the recorded point with the recorded
+// message, and the rollback restores the recorded state.
 TEST_P(ExecParityShapeTest, OpBudgetTripsIdentically) {
   const std::string shape = GetParam();
-  for (const int64_t budget : {1, 3}) {
-    const EpochOutcome interpret =
-        RunEpoch(shape, ExecEngine::kInterpret, /*threads=*/1, std::nullopt,
-                 budget);
-    const EpochOutcome compiled =
-        RunEpoch(shape, ExecEngine::kCompiled, /*threads=*/1, std::nullopt,
-                 budget);
-    EXPECT_NE(interpret.status, OkStatus().ToString()) << shape;
-    ExpectOutcomesEqual(interpret, compiled,
-                        shape + " budget=" + std::to_string(budget));
+  Golden golden(StrCat("op_budget_", shape));
+  for (const EngineRun& e : kEngines) {
+    for (const int64_t budget : {1, 3}) {
+      const std::string context =
+          StrCat(shape, " ", e.name, " budget=", budget);
+      const EpochOutcome outcome = RunEpoch(shape, e.engine, /*threads=*/1,
+                                            std::nullopt, budget);
+      EXPECT_NE(outcome.status, OkStatus().ToString()) << context;
+      golden.Expect(StrCat("budget ", budget), outcome.RenderFailed(),
+                    context);
+    }
   }
 }
 
@@ -294,14 +391,13 @@ BsmaConfig SmallConfig() {
   return config;
 }
 
-struct BsmaOutcome {
-  std::string tables;
-  std::string stats;
-  std::string result;
-};
+// Tables as fingerprints, AccessStats and MaintainResult exactly.
+std::string RenderBsma(Database* db, const MaintainResult& result) {
+  return StrCat("stats: ", db->stats().ToString(), "\nresult:\n",
+                result.ToString(), "\ntables:\n", TableFingerprints(db));
+}
 
-BsmaOutcome RunBsma(const std::string& view, ExecEngine engine,
-                    int threads) {
+std::string RunBsma(const std::string& view, ExecEngine engine, int threads) {
   Database db;
   BsmaWorkload workload(&db, SmallConfig());
   Maintainer m(&db, CompileView("v", workload.ViewPlan(view), db));
@@ -316,26 +412,19 @@ BsmaOutcome RunBsma(const std::string& view, ExecEngine engine,
   EXPECT_TRUE(status.ok()) << view << ": " << status.ToString();
   testing::ExpectViewMatchesRecompute(&db, m.view().plan, "v",
                                       view + " engine parity run");
-  BsmaOutcome out;
-  out.tables = JoinSnapshots(SnapshotAll(&db));
-  out.stats = db.stats().ToString();
-  out.result = result.ToString();
-  return out;
+  return RenderBsma(&db, result);
 }
 
 class ExecParityBsmaTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(ExecParityBsmaTest, CompiledMatchesInterpreter) {
   const std::string view = GetParam();
-  const BsmaOutcome reference =
-      RunBsma(view, ExecEngine::kInterpret, /*threads=*/1);
+  Golden golden(StrCat("bsma_", view));
+  golden.Expect("epoch", RunBsma(view, ExecEngine::kInterpret, 1),
+                StrCat(view, " interpret threads=1"));
   for (const int threads : {1, 2, 4, 8}) {
-    const BsmaOutcome compiled =
-        RunBsma(view, ExecEngine::kCompiled, threads);
-    const std::string context = view + " threads=" + std::to_string(threads);
-    EXPECT_EQ(compiled.tables, reference.tables) << context;
-    EXPECT_EQ(compiled.stats, reference.stats) << context;
-    EXPECT_EQ(compiled.result, reference.result) << context;
+    golden.Expect("epoch", RunBsma(view, ExecEngine::kCompiled, threads),
+                  StrCat(view, " compiled threads=", threads));
   }
 }
 
@@ -351,7 +440,8 @@ INSTANTIATE_TEST_SUITE_P(AllViews, ExecParityBsmaTest,
 // serialization round trip) behave identically too: loading must not
 // produce a script that compiles differently from the one it serialized.
 TEST(ExecParityTest, LoadedCorpusViewMatches) {
-  auto run = [](ExecEngine engine) {
+  Golden golden("loaded_corpus_qs1");
+  for (const EngineRun& e : kEngines) {
     Database db;
     BsmaWorkload workload(&db, SmallConfig());
     const CompiledView compiled =
@@ -363,22 +453,20 @@ TEST(ExecParityTest, LoadedCorpusViewMatches) {
     ModificationLogger logger(&db);
     workload.ApplyUserUpdates(&logger, 40);
     MaintainOptions options;
-    options.engine = engine;
+    options.engine = e.engine;
     MaintainResult result;
     const Status status =
         m.TryMaintain(logger.NetChanges(), options, &result);
     EXPECT_TRUE(status.ok()) << status.ToString();
-    return JoinSnapshots(SnapshotAll(&db)) + db.stats().ToString() +
-           result.ToString();
-  };
-  EXPECT_EQ(run(ExecEngine::kCompiled), run(ExecEngine::kInterpret));
+    golden.Expect("epoch", RenderBsma(&db, result), e.name);
+  }
 }
 
 // ---- ViewManager: ladder, MVCC hand-off, program cache ------------------
 
-// Fault storms through the full degradation ladder: identical incidents
-// (view, rung, recovered), identical quarantine set, identical final
-// tables — for every seed — then identical recovery.
+// Fault storms through the full degradation ladder: the recorded incidents
+// (view, rung, recovered), quarantine set and final tables — for every
+// seed — then recovery.
 TEST(ExecParityTest, LadderStormsMatch) {
   auto run = [](ExecEngine engine, int seed) {
     Database db;
@@ -404,8 +492,8 @@ TEST(ExecParityTest, LadderStormsMatch) {
 
     std::string out;
     for (const ViewIncident& incident : report.incidents) {
-      out += incident.view + " rung " + std::to_string(incident.rung) +
-             (incident.recovered ? " recovered" : " lost") + "\n";
+      out += StrCat(incident.view, " rung ", incident.rung,
+                    incident.recovered ? " recovered" : " lost", "\n");
     }
     for (const std::string& name : vm.QuarantinedViews()) {
       out += "quarantined " + name + "\n";
@@ -416,19 +504,22 @@ TEST(ExecParityTest, LadderStormsMatch) {
           &db, vm.GetView(name).view().plan, name,
           "storm seed " + std::to_string(seed));
     }
-    return out + JoinSnapshots(SnapshotAll(&db));
+    return out + "tables:\n" + TableFingerprints(&db);
   };
-  for (int seed = 0; seed < 12; ++seed) {
-    EXPECT_EQ(run(ExecEngine::kCompiled, seed),
-              run(ExecEngine::kInterpret, seed))
-        << "seed " << seed;
+  Golden golden("ladder_storms");
+  for (const EngineRun& e : kEngines) {
+    for (int seed = 0; seed < 12; ++seed) {
+      golden.Expect(StrCat("seed ", seed), run(e.engine, seed),
+                    StrCat(e.name, " seed ", seed));
+    }
   }
 }
 
-// Compiled refreshes in snapshot-read mode hand the identical redo delta
-// to MVCC: the published snapshot equals the live tables after the flip.
+// Refreshes in snapshot-read mode hand the recorded redo delta to MVCC:
+// the published snapshot equals the live tables after the flip.
 TEST(ExecParityTest, MvccRedoHandOffMatches) {
-  auto run = [](ExecEngine engine) {
+  Golden golden("mvcc_redo_hand_off");
+  for (const EngineRun& e : kEngines) {
     Database db;
     testing::LoadRunningExample(&db);
     ViewManager vm(&db);
@@ -440,7 +531,7 @@ TEST(ExecParityTest, MvccRedoHandOffMatches) {
     EXPECT_TRUE(vm.Insert("parts", {Value("P5"), Value(50.0)}));
     EXPECT_TRUE(vm.Insert("devices_parts", {Value("D1"), Value("P5")}));
     RefreshOptions options;
-    options.engine = engine;
+    options.engine = e.engine;
     RefreshReport report;
     EXPECT_TRUE(vm.TryRefresh(options, &report).ok());
     const mvcc::Snapshot snapshot = vm.OpenSnapshot();
@@ -449,11 +540,10 @@ TEST(ExecParityTest, MvccRedoHandOffMatches) {
       const Relation live = db.GetTable(name).SnapshotUncounted();
       const Relation versioned = snapshot.Read(name).Scan();
       EXPECT_TRUE(versioned.BagEquals(live)) << name;
-      out += versioned.Sorted().ToString();
+      out += "== " + name + " ==\n" + versioned.Sorted().ToString();
     }
-    return out;
-  };
-  EXPECT_EQ(run(ExecEngine::kCompiled), run(ExecEngine::kInterpret));
+    golden.Expect("snapshot", out, e.name);
+  }
 }
 
 // The manager's program cache: second refresh hits, catalog changes
