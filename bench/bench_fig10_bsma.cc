@@ -31,8 +31,8 @@ namespace {
 // retry / recompute / quarantine machinery the chaos tests assert on, at
 // bench scale.
 int RunChaosMode(const idivm::BsmaConfig& config, int64_t updates,
-                 int threads, idivm::ExecEngine engine, double fault_rate,
-                 idivm::DegradePolicy policy, int64_t max_epoch_ops) {
+                 int threads, double fault_rate, idivm::DegradePolicy policy,
+                 int64_t max_epoch_ops) {
   using namespace idivm;
   Database db;
   BsmaWorkload workload(&db, config);
@@ -48,7 +48,6 @@ int RunChaosMode(const idivm::BsmaConfig& config, int64_t updates,
   FaultInjector injector(plan);
   RefreshOptions options;
   options.script_threads = threads;
-  options.engine = engine;
   options.degrade = policy;
   options.fault = &injector;
   options.max_epoch_ops = max_epoch_ops;
@@ -116,8 +115,7 @@ int main(int argc, char** argv) {
     } else {
       bench::FlagError(argv[i],
                        "is not recognized (supported: --threads N, "
-                       "--engine {interpret,compiled}, --users N, "
-                       "--inject-fault-rate R, --degrade-policy P, "
+                       "--users N, --inject-fault-rate R, --degrade-policy P, "
                        "--max-epoch-ops N, --trace-out PATH, "
                        "--metrics-out PATH)");
     }
@@ -130,9 +128,8 @@ int main(int argc, char** argv) {
   const int64_t kUpdates = 100;
 
   if (fault_rate > 0.0 || max_epoch_ops > 0) {
-    const int exit_code = RunChaosMode(config, kUpdates, threads,
-                                       flags.engine, fault_rate, policy,
-                                       max_epoch_ops);
+    const int exit_code = RunChaosMode(config, kUpdates, threads, fault_rate,
+                                       policy, max_epoch_ops);
     flags.WriteOutputs();
     return exit_code;
   }
@@ -165,8 +162,7 @@ int main(int argc, char** argv) {
       workload.ApplyUserUpdates(&logger, kUpdates);
       db.stats().Reset();
       id_result = m.Maintain(logger.NetChanges(),
-                             MaintainOptions{.threads = threads,
-                                             .engine = flags.engine});
+                             MaintainOptions{.threads = threads});
     }
     {
       Database db;

@@ -25,8 +25,7 @@ int main(int argc, char** argv) {
     if (!flags.Match(argc, argv, &i)) {
       FlagError(argv[i],
                 "is not recognized (supported: --threads N, "
-                "--engine {interpret,compiled}, --trace-out PATH, "
-                "--metrics-out PATH)");
+                "--trace-out PATH, --metrics-out PATH)");
     }
   }
   flags.Install();
@@ -62,10 +61,8 @@ int main(int argc, char** argv) {
       workload.ApplyMixedChanges(&logger, mix.inserts, mix.deletes,
                                  mix.updates);
       db.stats().Reset();
-      return id_based
-                 ? id->Maintain(logger.NetChanges(),
-                                MaintainOptions{.engine = flags.engine})
-                 : tuple->Maintain(logger.NetChanges());
+      return id_based ? id->Maintain(logger.NetChanges())
+                      : tuple->Maintain(logger.NetChanges());
     };
     const MaintainResult id = run(true);
     const MaintainResult tuple = run(false);
@@ -101,7 +98,7 @@ int main(int argc, char** argv) {
   // runs one view per worker. Access counts must be identical (arenas are
   // published in definition order); wall-clock speedup depends on hardware
   // parallelism, so the available core count is printed alongside.
-  auto refresh_once = [&flags](int t, double* seconds) -> int64_t {
+  auto refresh_once = [](int t, double* seconds) -> int64_t {
     Database db;
     BsmaConfig config;
     config.users = 1000;
@@ -113,7 +110,7 @@ int main(int argc, char** argv) {
     workload.ApplyUserUpdates(&manager.logger(), 100);
     db.stats().Reset();
     const auto start = std::chrono::steady_clock::now();
-    manager.Refresh(RefreshOptions{.threads = t, .engine = flags.engine});
+    manager.Refresh(RefreshOptions{.threads = t});
     const auto end = std::chrono::steady_clock::now();
     *seconds = std::chrono::duration<double>(end - start).count();
     return db.stats().TotalAccesses();

@@ -154,7 +154,6 @@ int Run(int argc, char** argv) {
   sopts.refresh_pending_threshold = static_cast<size_t>(refresh_pending);
   sopts.refresh_interval_seconds = refresh_interval_ms / 1000.0;
   sopts.threads = flags.threads;
-  sopts.engine = flags.engine;
   sopts.deadline_seconds = deadline_ms / 1000.0;
   sopts.fault = fault_rate > 0 ? &fault : nullptr;
   sopts.data_dir = scratch.path() + "/data";

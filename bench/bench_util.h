@@ -91,19 +91,6 @@ inline double ParseRateFlag(const char* flag, const char* text) {
   return value;
 }
 
-// Parses a ∆-script engine name (--engine): "interpret" runs the per-step
-// interpreter, "compiled" the src/exec bytecode VM. Both are byte-identical
-// in results; the flag exists so benches can time them against each other.
-inline ExecEngine ParseEngineFlag(const char* flag, const std::string& text) {
-  if (text == "interpret") return ExecEngine::kInterpret;
-  if (text == "compiled") return ExecEngine::kCompiled;
-  std::fprintf(stderr,
-               "error: flag %s expects one of interpret, compiled; got "
-               "\"%s\"\n",
-               flag, text.c_str());
-  std::exit(2);
-}
-
 // Parses a degradation-ladder policy name (--degrade-policy).
 inline DegradePolicy ParseDegradePolicyFlag(const char* flag,
                                             const char* text) {
@@ -248,7 +235,7 @@ class BenchFlags {
   explicit BenchFlags(bool with_readers = false, bool with_streaming = false)
       : with_readers_(with_readers), with_streaming_(with_streaming) {}
 
-  // Consumes --threads / --engine / --readers / --duration-s / --rate /
+  // Consumes --threads / --readers / --duration-s / --rate /
   // --trace-out / --metrics-out at argv[*i]; returns false for any other
   // flag.
   bool Match(int argc, char** argv, int* i) {
@@ -256,11 +243,6 @@ class BenchFlags {
     if (std::strcmp(argv[*i], "--threads") == 0) {
       threads = ParsePositiveIntFlag("--threads",
                                      FlagValue("--threads", argc, argv, i));
-      return true;
-    }
-    std::string engine_text;
-    if (MatchStringFlag("--engine", argc, argv, i, &engine_text)) {
-      engine = ParseEngineFlag("--engine", engine_text);
       return true;
     }
     if (with_readers_ && std::strcmp(argv[*i], "--readers") == 0) {
@@ -284,14 +266,12 @@ class BenchFlags {
   // The flags Match() accepts, for the bench's "not recognized" message.
   const char* Supported() const {
     if (with_streaming_) {
-      return "--threads N, --engine {interpret,compiled}, --duration-s N, "
-             "--rate N, --trace-out PATH, --metrics-out PATH";
+      return "--threads N, --duration-s N, --rate N, --trace-out PATH, "
+             "--metrics-out PATH";
     }
-    return with_readers_
-               ? "--threads N, --engine {interpret,compiled}, --readers N, "
-                 "--trace-out PATH, --metrics-out PATH"
-               : "--threads N, --engine {interpret,compiled}, "
-                 "--trace-out PATH, --metrics-out PATH";
+    return with_readers_ ? "--threads N, --readers N, --trace-out PATH, "
+                           "--metrics-out PATH"
+                         : "--threads N, --trace-out PATH, --metrics-out PATH";
   }
 
   // Call once after flag parsing (installs the global trace recorder when
@@ -303,7 +283,6 @@ class BenchFlags {
   int readers = 4;
   int duration_s = 5;  // --duration-s (streaming benches)
   int rate = 1000;     // --rate, ops/second (streaming benches)
-  ExecEngine engine = ExecEngine::kInterpret;
 
  private:
   bool with_readers_;
@@ -349,8 +328,7 @@ struct EngineResult {
 // Runs idIVM on a fresh devices/parts database.
 inline EngineResult RunIdIvm(const DevicesPartsConfig& config, int64_t d,
                              bool with_selection = true,
-                             const CompilerOptions& options = {},
-                             ExecEngine engine = ExecEngine::kInterpret) {
+                             const CompilerOptions& options = {}) {
   Database db;
   DevicesPartsWorkload workload(&db, config);
   Maintainer m(&db,
@@ -359,8 +337,7 @@ inline EngineResult RunIdIvm(const DevicesPartsConfig& config, int64_t d,
   ModificationLogger logger(&db);
   workload.ApplyPriceUpdates(&logger, d);
   db.stats().Reset();
-  return {"ID-based IVM",
-          m.Maintain(logger.NetChanges(), MaintainOptions{.engine = engine})};
+  return {"ID-based IVM", m.Maintain(logger.NetChanges())};
 }
 
 inline EngineResult RunTupleIvm(const DevicesPartsConfig& config, int64_t d,

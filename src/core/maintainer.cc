@@ -1,12 +1,7 @@
 #include "src/core/maintainer.h"
 
-#include <algorithm>
-#include <chrono>
-#include <cmath>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
-#include <mutex>
 #include <set>
 #include <utility>
 #include <vector>
@@ -14,13 +9,10 @@
 #include "src/algebra/evaluator.h"
 #include "src/common/check.h"
 #include "src/common/str_util.h"
-#include "src/common/thread_pool.h"
-#include "src/core/aggregate_exec.h"
 #include "src/core/step_access.h"
 #include "src/exec/compiler.h"
 #include "src/exec/program_cache.h"
 #include "src/exec/vm.h"
-#include "src/expr/analysis.h"
 #include "src/obs/metrics.h"
 
 namespace idivm {
@@ -99,55 +91,13 @@ Relation ReconstructPreState(const Table& table,
   return pre;
 }
 
-// γ executor transient store backed by the interpreter's name → Relation
-// map plus the step's EvalContext bindings — the exact register/erase
-// sequence the executor performed before extraction to aggregate_exec.
-class MapTransientAccess : public TransientAccess {
- public:
-  MapTransientAccess(std::map<std::string, Relation>* transients,
-                     EvalContext* ctx)
-      : transients_(transients), ctx_(ctx) {}
-
-  const Relation* Find(const std::string& name) override {
-    const auto it = transients_->find(name);
-    return it == transients_->end() ? nullptr : &it->second;
-  }
-
-  void Publish(const std::string& name, Relation rel) override {
-    (*transients_)[name] = std::move(rel);
-  }
-
-  Relation EvaluateScoped(const PlanPtr& plan, const std::string& scratch_name,
-                          const Relation& scratch) override {
-    (*transients_)[scratch_name] = scratch;
-    ctx_->transient[scratch_name] = &(*transients_)[scratch_name];
-    Relation out = Evaluate(plan, *ctx_);
-    ctx_->transient.erase(scratch_name);
-    transients_->erase(scratch_name);
-    return out;
-  }
-
- private:
-  std::map<std::string, Relation>* transients_;
-  EvalContext* ctx_;
-};
-
-// ---- Parallel scheduling over the rule DAG ---------------------------------
-//
-// The compose pass orders steps so diffs exist before use; the RuleDag
-// records which rule consumes which diff. For scheduling we recover the
-// same dependency structure directly from the steps (which also names the
-// stored tables each step touches): two steps conflict when one produces a
-// transient the other consumes (a DAG edge), or when one writes a stored
-// table the other reads or writes. Non-conflicting steps — exactly the
-// independent per-base-table diff chains of Fig. 6 — run concurrently.
-
 }  // namespace
 
 Maintainer::Maintainer(Database* db, CompiledView view)
     : db_(db), view_(std::move(view)) {
   std::set<std::string> pre_tables;
   for (const ScriptStep& step : view_.script.steps) {
+    step_access_.push_back(AnalyzeStep(step));
     if (step.compute.has_value()) {
       CollectPreStateTables(step.compute->query, &pre_tables);
     }
@@ -161,7 +111,6 @@ Maintainer::Maintainer(Database* db, CompiledView view)
 
 const exec::CompiledProgram* Maintainer::CompiledProgramFor(
     const MaintainOptions& options, obs::TraceRecorder* trace) {
-  if (options.engine != ExecEngine::kCompiled) return nullptr;
   if (options.programs != nullptr) {
     program_ = options.programs->GetOrCompile(view_, *db_, trace);
   } else if (program_ == nullptr) {
@@ -217,7 +166,6 @@ Status Maintainer::TryMaintain(
   const int64_t setup_end_us = trace != nullptr ? trace->NowMicros() : 0;
   setup_arena.Publish();
 
-  std::map<std::string, Relation> transients;
   // Tables with updates/deletes this round: view-assisted probes must not
   // read their (possibly mid-maintenance) cache copies.
   std::set<std::string> assist_unsafe;
@@ -229,264 +177,30 @@ Status Maintainer::TryMaintain(
       }
     }
   }
-  EvalContext ctx;
-  ctx.db = db_;
-  ctx.pre_state = &pre_state;
-  ctx.assist_unsafe_tables = &assist_unsafe;
-  for (const auto& [name, instance] : instances) {
-    transients[name] = instance.data();
-  }
 
   const std::vector<ScriptStep>& steps = view_.script.steps;
   const size_t n = steps.size();
-
   std::vector<StepRun> runs(n);
-  std::vector<StepAccess> access(n);
-  for (size_t i = 0; i < n; ++i) access[i] = AnalyzeStep(steps[i]);
 
-  // Executes step `i` with transient bindings from `ctx`. Produced
-  // transients go to `outputs` for the caller to publish — except for the
-  // blocking γ steps, which run exclusively and use the shared map
-  // directly (they bind scratch relations mid-evaluation).
-  //
-  // Fault sites: one at every step entry (each rule boundary of the
-  // script, visited by whichever worker runs the step) and one inside each
-  // APPLY just before the DML executes. On error the step's partial
-  // mutations are already in `undo`; the caller rolls the epoch back.
-  auto execute_step = [&](size_t i, EvalContext& step_ctx,
-                          std::vector<std::pair<std::string, Relation>>*
-                              outputs) -> Status {
-    const ScriptStep& step = steps[i];
-    StepRun& run = runs[i];
-    ScopedStatsArena scope(&run.arena);
-    if (trace != nullptr) {
-      run.start_us = trace->NowMicros();
-      run.tid = obs::TraceRecorder::CurrentThreadId();
-    }
-    const auto t0 = std::chrono::steady_clock::now();
-    Status status = [&]() -> Status {
-      if (options.fault != nullptr) {
-        IDIVM_RETURN_IF_ERROR(
-            options.fault->Check(StrCat("step:", access[i].label)));
-      }
-      if (options.deadline != nullptr) {
-        IDIVM_RETURN_IF_ERROR(
-            options.deadline->Check(StrCat("step:", access[i].label)));
-      }
-      if (step.compute.has_value()) {
-        const ComputeDiffStep& cs = *step.compute;
-        Relation rel = Evaluate(cs.query, step_ctx);
-        if (!cs.raw_relation) {
-          const DiffSchema* schema = view_.script.FindDiffSchema(cs.out_name);
-          if (schema == nullptr) {
-            return CorruptScriptError(
-                StrCat("compute of unregistered diff ", cs.out_name));
-          }
-          DiffInstance inst(*schema, std::move(rel));
-          inst.DeduplicateByIds();
-          outputs->emplace_back(cs.out_name, inst.data());
-        } else {
-          outputs->emplace_back(cs.out_name, std::move(rel));
-        }
-      } else if (step.apply.has_value()) {
-        const ApplyStep& as = *step.apply;
-        // The step's diff plus any compose-time-merged diffs: resolve all
-        // up front so an unregistered/unbound diff fails before any
-        // mutation, exactly as the unmerged steps did.
-        struct ResolvedDiff {
-          const std::string* name;
-          const DiffSchema* schema;
-          const Relation* data;
-        };
-        std::vector<ResolvedDiff> diffs;
-        diffs.push_back({&as.diff_name, nullptr, nullptr});
-        for (const std::string& extra : as.extra_diff_names) {
-          diffs.push_back({&extra, nullptr, nullptr});
-        }
-        for (ResolvedDiff& d : diffs) {
-          d.schema = view_.script.FindDiffSchema(*d.name);
-          if (d.schema == nullptr) {
-            return CorruptScriptError(
-                StrCat("apply of unregistered diff ", *d.name));
-          }
-          const auto it = step_ctx.transient.find(*d.name);
-          if (it == step_ctx.transient.end()) {
-            return CorruptScriptError(
-                StrCat("apply of unbound diff ", *d.name));
-          }
-          d.data = it->second;
-        }
-        Table& target = db_->GetTable(as.target_table);
-        if (apply_observer_ != nullptr) {
-          for (const ResolvedDiff& d : diffs) {
-            apply_observer_(as.target_table,
-                            DiffInstance(*d.schema, *d.data));
-          }
-        }
-        if (options.fault != nullptr) {
-          IDIVM_RETURN_IF_ERROR(
-              options.fault->Check(StrCat("apply:", as.target_table)));
-        }
-        if (options.deadline != nullptr) {
-          IDIVM_RETURN_IF_ERROR(
-              options.deadline->Check(StrCat("apply:", as.target_table)));
-        }
-        const bool capture =
-            !as.returning_pre.empty() || !as.returning_post.empty();
-        ReturningImages images(target.schema());
-        AccessStats apply_before;
-        if (trace != nullptr) {
-          apply_before = run.arena.Sum(&db_->stats());
-          run.apply_start_us = trace->NowMicros();
-        }
-        for (const ResolvedDiff& d : diffs) {
-          IDIVM_RETURN_IF_ERROR(TryApplyDiff(
-              *d.schema, *d.data, target, &run.applied,
-              capture ? &images : nullptr, &undo, options.fault));
-        }
-        if (trace != nullptr) {
-          run.apply_end_us = trace->NowMicros();
-          run.apply_accesses = run.arena.Sum(&db_->stats()) - apply_before;
-          run.has_apply = true;
-        }
-        if (capture) {
-          outputs->emplace_back(as.returning_pre,
-                                std::move(images.pre_images));
-          outputs->emplace_back(as.returning_post,
-                                std::move(images.post_images));
-        }
-      } else if (step.aggregate.has_value()) {
-        MapTransientAccess gamma_transients(&transients, &step_ctx);
-        AggregateExecutor exec(db_, *step.aggregate, &gamma_transients);
-        exec.set_script(&view_.script);
-        exec.set_undo(&undo);
-        IDIVM_RETURN_IF_ERROR(exec.Run());
-      }
-      if (options.max_epoch_ops > 0 &&
-          static_cast<int64_t>(undo.size()) > options.max_epoch_ops) {
-        return ResourceExhaustedError(
-            StrCat("epoch op budget exceeded: ", undo.size(),
-                   " stored-table mutations > --max-epoch-ops=",
-                   options.max_epoch_ops));
-      }
-      return OkStatus();
-    }();
-    const auto t1 = std::chrono::steady_clock::now();
-    run.seconds = std::chrono::duration<double>(t1 - t0).count();
-    if (trace != nullptr) run.end_us = trace->NowMicros();
-    return status;
-  };
-
-  // Compiled engine: the register VM fills the same per-step `runs`
-  // records, so everything after the execution block — rollback, commit,
-  // merge, spans, metrics — is engine-agnostic. Compilation itself is
-  // charge-free (it reads only plan structure and stored schemas).
-  const exec::CompiledProgram* program = CompiledProgramFor(options, trace);
-
-  Status epoch_status = OkStatus();
-  if (program != nullptr) {
-    exec::ExecEnv env;
-    env.db = db_;
-    env.program = program;
-    env.instances = &instances;
-    env.pre_state = &pre_state;
-    env.assist_unsafe = &assist_unsafe;
-    env.undo = &undo;
-    env.fault = options.fault;
-    env.deadline = options.deadline;
-    env.max_epoch_ops = options.max_epoch_ops;
-    env.threads = options.threads;
-    env.trace = trace;
-    env.apply_observer = apply_observer_ ? &apply_observer_ : nullptr;
-    env.runs = &runs;
-    epoch_status = exec::Execute(env);
-  } else if (options.threads <= 1 || n <= 1) {
-    // Sequential execution on the calling thread, in script order.
-    std::vector<std::pair<std::string, Relation>> outputs;
-    for (size_t i = 0; i < n; ++i) {
-      // Rebind ctx.transient views each step (cheap pointer map).
-      ctx.transient.clear();
-      for (const auto& [name, rel] : transients) {
-        ctx.transient[name] = &rel;
-      }
-      outputs.clear();
-      epoch_status = execute_step(i, ctx, &outputs);
-      if (!epoch_status.ok()) break;
-      for (auto& [name, rel] : outputs) transients[name] = std::move(rel);
-    }
-  } else {
-    // DAG scheduler: an edge i -> j (i earlier in script order) exists when
-    // the steps conflict; a step becomes ready when all predecessors
-    // completed. Blocking γ steps conflict with everything — barriers.
-    std::vector<std::vector<size_t>> succs(n);
-    std::vector<size_t> pending(n, 0);
-    for (size_t j = 0; j < n; ++j) {
-      for (size_t i = 0; i < j; ++i) {
-        if (StepsConflict(access[i], access[j])) {
-          succs[i].push_back(j);
-          ++pending[j];
-        }
-      }
-    }
-
-    std::mutex mutex;
-    std::condition_variable done_cv;
-    size_t completed = 0;
-    // First failure anywhere stops new step bodies from running; the DAG
-    // bookkeeping still completes every node so the scheduler cannot
-    // deadlock. Per-step statuses are merged in script order below, so the
-    // reported error is deterministic whatever the interleaving was.
-    std::atomic<bool> failed{false};
-    std::vector<Status> statuses(n, OkStatus());
-    ThreadPool pool(options.threads);
-    // Self-referential so completions can schedule newly-ready successors.
-    std::function<void(size_t)> submit = [&](size_t i) {
-      pool.Submit([&, i] {
-        EvalContext step_ctx;
-        step_ctx.db = ctx.db;
-        step_ctx.pre_state = ctx.pre_state;
-        step_ctx.assist_unsafe_tables = ctx.assist_unsafe_tables;
-        std::vector<std::pair<std::string, Relation>> outputs;
-        Status status = OkStatus();
-        if (!failed.load(std::memory_order_acquire)) {
-          {
-            // Snapshot bindings: all producers of this step's inputs have
-            // completed and published (dependency edges); Relation values in
-            // the map are never mutated after publication and map nodes are
-            // address-stable, so the pointers stay valid outside the lock.
-            std::lock_guard<std::mutex> lock(mutex);
-            for (const auto& [name, rel] : transients) {
-              step_ctx.transient[name] = &rel;
-            }
-          }
-          status = execute_step(i, step_ctx, &outputs);
-          if (!status.ok()) failed.store(true, std::memory_order_release);
-        }
-        std::lock_guard<std::mutex> lock(mutex);
-        statuses[i] = std::move(status);
-        for (auto& [name, rel] : outputs) transients[name] = std::move(rel);
-        for (size_t succ : succs[i]) {
-          if (--pending[succ] == 0) submit(succ);
-        }
-        if (++completed == n) done_cv.notify_all();
-      });
-    };
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      for (size_t i = 0; i < n; ++i) {
-        if (pending[i] == 0) submit(i);
-      }
-    }
-    std::unique_lock<std::mutex> lock(mutex);
-    done_cv.wait(lock, [&] { return completed == n; });
-    lock.unlock();
-    for (size_t i = 0; i < n; ++i) {
-      if (!statuses[i].ok()) {
-        epoch_status = statuses[i];
-        break;
-      }
-    }
-  }
+  // The register VM fills one StepRun per script step, so everything after
+  // execution — rollback, commit, merge, spans, metrics — reads per-step
+  // records. Compilation is lazy (first epoch) and charge-free: it reads
+  // only plan structure and stored schemas.
+  exec::ExecEnv env;
+  env.db = db_;
+  env.program = CompiledProgramFor(options, trace);
+  env.instances = &instances;
+  env.pre_state = &pre_state;
+  env.assist_unsafe = &assist_unsafe;
+  env.undo = &undo;
+  env.fault = options.fault;
+  env.deadline = options.deadline;
+  env.max_epoch_ops = options.max_epoch_ops;
+  env.threads = options.threads;
+  env.trace = trace;
+  env.apply_observer = apply_observer_ ? &apply_observer_ : nullptr;
+  env.runs = &runs;
+  const Status epoch_status = exec::Execute(env);
 
   if (!epoch_status.ok()) {
     // Failed epoch: restore every stored table the script touched and drop
@@ -534,16 +248,16 @@ Status Maintainer::TryMaintain(
     cost.seconds = runs[i].seconds;
     if (trace_env) {
       std::fprintf(stderr, "[step %zu] %-40s %s\n", i,
-                   access[i].label.c_str(),
+                   step_access_[i].label.c_str(),
                    cost.accesses.ToString().c_str());
     }
     epoch_accesses += cost.accesses;
     obs::GlobalCounter(
-        obs::RuleAccessCounterName(view_.view_name, access[i].label))
+        obs::RuleAccessCounterName(view_.view_name, step_access_[i].label))
         .Increment(cost.accesses.TotalAccesses());
     if (trace != nullptr) {
       obs::TraceSpan span;
-      span.name = access[i].label;
+      span.name = step_access_[i].label;
       span.category = "rule";
       span.tid = runs[i].tid;
       span.start_us = runs[i].start_us;
@@ -572,7 +286,7 @@ Status Maintainer::TryMaintain(
     result.diff_tuples_applied += runs[i].applied.diff_tuples;
     result.rows_touched += runs[i].applied.rows_touched;
     result.dummy_tuples += runs[i].applied.dummy_tuples;
-    switch (access[i].phase) {
+    switch (step_access_[i].phase) {
       case MaintPhase::kDiffComputation:
         result.diff_computation += cost;
         break;

@@ -1,11 +1,12 @@
 // View-maintenance-time execution (Section 3, blue components): the ∆-script
 // executor. Takes the net base-table changes, populates the input i-diff
 // instances, reconstructs pre-states where the script needs them, and runs
-// the script steps, attributing costs and wall time to the phases of
+// the script — lowered once to a CompiledProgram and executed by the
+// register VM (src/exec) — attributing costs and wall time to the phases of
 // Fig. 12 (diff computation / cache update / view update).
 //
-// With MaintainOptions::threads > 1 the executor schedules steps over the
-// rule DAG (Fig. 6): steps whose input diffs are ready and whose stored-table
+// With MaintainOptions::threads > 1 the VM schedules steps over the rule
+// DAG (Fig. 6): steps whose input diffs are ready and whose stored-table
 // accesses do not conflict run concurrently on a thread pool, so the
 // independent per-base-table diff chains of the script proceed in parallel.
 // Blocking (aggregation) steps act as barriers. Per-step costs accumulate in
@@ -23,6 +24,7 @@
 
 #include "src/core/compose.h"
 #include "src/core/modification_log.h"
+#include "src/core/step_access.h"
 #include "src/diff/apply.h"
 #include "src/obs/trace.h"
 #include "src/robust/deadline.h"
@@ -37,15 +39,6 @@ namespace exec {
 struct CompiledProgram;
 class ProgramCache;
 }  // namespace exec
-
-// Which ∆-script executor runs the epoch. Both engines are byte-identical
-// in table contents, AccessStats, fault behaviour and error messages;
-// kCompiled skips the per-epoch binding and strategy-selection work by
-// running a cached CompiledProgram (src/exec).
-enum class ExecEngine {
-  kInterpret,
-  kCompiled,
-};
 
 struct PhaseCost {
   AccessStats accesses;
@@ -67,9 +60,9 @@ struct MaintainOptions {
   // path fault-free.
   FaultInjector* fault = nullptr;
   // Cooperative refresh deadline (robust::Deadline), checked at the same
-  // sites as fault injection in both engines. An expired deadline fails
-  // the epoch with kDeadlineExceeded — roll back, then the ladder — so a
-  // stalled refresh cannot hang a long-running service. nullptr disables.
+  // sites as fault injection. An expired deadline fails the epoch with
+  // kDeadlineExceeded — roll back, then the ladder — so a stalled refresh
+  // cannot hang a long-running service. nullptr disables.
   robust::Deadline* deadline = nullptr;
   // Epoch op budget: when > 0, an epoch that mutates more than this many
   // stored-table rows fails with kResourceExhausted (and rolls back).
@@ -80,7 +73,9 @@ struct MaintainOptions {
   // committed epoch records one "epoch" span, one "setup" span and one
   // "rule" span per ∆-script step (APPLY steps get a nested "apply" span),
   // each carrying its exact AccessStats delta; a failed epoch records only
-  // the "epoch" span, marked failed=1, since its charges rolled back.
+  // the "epoch" span, marked failed=1, since its charges rolled back. The
+  // first epoch of a maintainer without a cached program also records the
+  // zero-charge "compile" span, whether the epoch then commits or fails.
   obs::TraceRecorder* trace = nullptr;
   // When set, a *committed* epoch moves its undo log here instead of
   // discarding it: the same (Table*, Modification) records, in per-table
@@ -89,13 +84,9 @@ struct MaintainOptions {
   // (src/mvcc) from exactly what the epoch changed. A failed epoch still
   // rolls back and leaves `redo` untouched.
   EpochUndo* redo = nullptr;
-  // The ∆-script executor. kCompiled lowers the script once (src/exec)
-  // and runs the program through the register VM; epochs/undo, the
-  // degradation ladder, MVCC redo hand-off and per-rule attribution are
-  // engine-agnostic.
-  ExecEngine engine = ExecEngine::kInterpret;
-  // Program cache for kCompiled. nullptr: the maintainer compiles its view
-  // once and keeps the program privately (bench/one-shot use).
+  // Program cache the epoch's CompiledProgram comes from. nullptr: the
+  // maintainer compiles its view on its first epoch and keeps the program
+  // privately (bench/one-shot use).
   exec::ProgramCache* programs = nullptr;
 };
 
@@ -155,8 +146,7 @@ class Maintainer {
 
  private:
   // The compiled program for this epoch: from options.programs when set,
-  // else compiled once and kept privately. Returns null only for the
-  // interpreting engine.
+  // else compiled once and kept privately.
   const exec::CompiledProgram* CompiledProgramFor(
       const MaintainOptions& options, obs::TraceRecorder* trace);
 
@@ -165,6 +155,9 @@ class Maintainer {
   CompiledView view_;
   // Tables the script reads in pre-state (computed once from the script).
   std::vector<std::string> pre_state_tables_;
+  // Per-step label and phase (computed once from the script), for the
+  // merge's attribution, rule counters and spans.
+  std::vector<StepAccess> step_access_;
   // Keeps the active program (and a privately-compiled one) alive across
   // the epoch.
   std::shared_ptr<const exec::CompiledProgram> program_;

@@ -318,7 +318,6 @@ Status ViewManager::TryRefresh(const RefreshOptions& options,
   mopts.deadline = options.deadline;
   mopts.max_epoch_ops = options.max_epoch_ops;
   mopts.trace = options.trace;
-  mopts.engine = options.engine;
   mopts.programs = &programs_;
 
   struct ViewRun {

@@ -1,4 +1,4 @@
-// Specialized γ-update kernels: the compiled engine's replacement for the
+// Specialized γ-update kernels: the compiled program's replacement for the
 // per-tuple Contribute() loop of core's AggregateExecutor.
 //
 // A kernel is built once per compiled program, per AggregateStep whose

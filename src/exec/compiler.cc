@@ -20,8 +20,8 @@ namespace {
 
 // True when BindAggregateStep can run without tripping a schema-resolution
 // CHECK. When false the program carries no prebound γ bindings and the
-// executor binds at runtime — hitting exactly the failure the interpreter
-// would hit, at the same point.
+// executor binds at runtime — hitting exactly the failure runtime binding
+// reports, at the same point.
 bool CanBindAggregate(const AggregateStep& step, const Database& db) {
   const std::set<std::string> in_cols = step.input_schema.ColumnNameSet();
   for (const std::string& g : step.group_by) {
@@ -186,7 +186,7 @@ class ScriptCompiler {
     return static_cast<int>(p_->probe_ops.size()) - 1;
   }
 
-  // Whole-subtree interpreter fallback: the VM calls Evaluate(plan) with
+  // Whole-subtree evaluator fallback: the VM calls Evaluate(plan) with
   // the step's reconstructed EvalContext — identical behaviour (including
   // any runtime CHECK) by construction.
   int Fallback(const PlanPtr& plan) {
@@ -209,8 +209,8 @@ class ScriptCompiler {
       op.raw = cs.raw_relation;
       saw_fallback_ = false;
       // A scan of a table the database does not have would make schema
-      // inference impossible; the interpreter only faults if and when such
-      // a scan actually runs, so defer the whole query.
+      // inference impossible; the evaluator only faults if and when such a
+      // scan actually runs, so defer the whole query.
       op.plan_root = ScanTablesExist(cs.query) ? CompilePlan(cs.query)
                                                : Fallback(cs.query);
       op.has_fallback = saw_fallback_;
@@ -328,7 +328,7 @@ class ScriptCompiler {
         const auto it = bound_.find(plan->ref_name());
         // Statically unbound or mismatched: fall back so the runtime CHECK
         // ("unbound relation ref" / "relation ref schema mismatch") fires
-        // exactly as under interpretation.
+        // exactly as in the evaluator.
         if (it == bound_.end() ||
             it->second.ColumnNames() != plan->ref_schema().ColumnNames()) {
           return Fallback(plan);

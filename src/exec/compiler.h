@@ -1,11 +1,12 @@
 // The ∆-script compiler: lowers a CompiledView's DeltaScript into a
 // CompiledProgram (program.h) executed by the register VM (vm.h). Every
-// decision the interpreter makes per epoch from plan structure and stored
-// schemas — join strategy selection, probe-key subsets, expression binding,
-// diff-schema lookups, γ bindings — is made once here; subtrees the
-// compiler cannot prove byte-identical (statically-unbound relation refs,
-// scans of missing tables) lower to interpreter-fallback ops, so a compiled
-// program never diverges from interpretation, it only skips per-epoch work.
+// decision the evaluator (algebra/evaluator.h) would make per epoch from
+// plan structure and stored schemas — join strategy selection, probe-key
+// subsets, expression binding, diff-schema lookups, γ bindings — is made
+// once here; subtrees the compiler cannot prove byte-identical
+// (statically-unbound relation refs, scans of missing tables) lower to
+// evaluator-fallback ops, so a compiled program never diverges from
+// evaluating the script, it only skips per-epoch work.
 
 #ifndef IDIVM_EXEC_COMPILER_H_
 #define IDIVM_EXEC_COMPILER_H_

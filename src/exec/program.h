@@ -2,12 +2,14 @@
 // ScriptCompiler (compiler.h) and executed by the register-based VM (vm.h).
 //
 // A CompiledProgram lowers a DeltaScript into a flat instruction list over
-// slot registers (one per transient relation name). Everything the
-// interpreter resolves per epoch — column offsets, expression bindings,
-// join strategies, probe-key subsets, diff-schema lookups, table handles —
-// is resolved once at compile time. Executing a program is byte-identical
-// to interpreting the script: same table contents, same AccessStats
-// charges, same fault sites, same error messages, in the same order.
+// slot registers (one per transient relation name). Everything evaluating
+// the script step by step would resolve per epoch — column offsets,
+// expression bindings, join strategies, probe-key subsets, diff-schema
+// lookups, table handles — is resolved once at compile time. Executing a
+// program is byte-identical to that step-by-step evaluation: same table
+// contents, same AccessStats charges, same fault sites, same error
+// messages, in the same order (pinned by the golden files under
+// tests/golden/exec_parity/).
 
 #ifndef IDIVM_EXEC_PROGRAM_H_
 #define IDIVM_EXEC_PROGRAM_H_
@@ -79,7 +81,7 @@ struct PlanOp {
     kSemiHash,       // ⋉/⋉̄ hash fallback
     kSemiNl,         // ⋉/⋉̄ nested loop (no equi conjuncts)
     kAggregate,      // γ plan node (prebound group/arg offsets)
-    kFallback,       // uncompilable subtree: interpreter Evaluate()
+    kFallback,       // uncompilable subtree: evaluator Evaluate()
   };
   Kind kind = Kind::kFallback;
   int child0 = -1;

@@ -1,8 +1,8 @@
 // Fingerprint-keyed cache of CompiledPrograms. ViewManager owns one: a
-// view's program is compiled on the first compiled-engine refresh and
-// reused until the catalog changes (DefineView / DropView / LoadRepository
-// clear the cache — the only operations that can change a view's script or
-// the stored schemas the compiler bound against). Keys are FNV-64 digests
+// view's program is compiled on the view's first refresh and reused until
+// the catalog changes (DefineView / DropView / LoadRepository clear the
+// cache — the only operations that can change a view's script or the
+// stored schemas the compiler bound against). Keys are FNV-64 digests
 // of the view's serialized form, so re-defining an identical view re-uses
 // nothing stale and two views never collide in practice.
 

@@ -105,8 +105,8 @@ struct ExecState {
 
   Table* ResolveTable(int table_id) {
     Table* t = tables[table_id];
-    // Missing table: resolve through the database so the interpreter's
-    // CHECK fires with the identical message.
+    // Missing table: resolve through the database so its CHECK fires with
+    // the identical message.
     if (t == nullptr) t = &env->db->GetTable(p->tables[table_id]);
     return t;
   }
@@ -125,8 +125,8 @@ struct ExecState {
 
 // Per-micro-op evaluation frame: owns intermediate relations so plan ops
 // can hand out references (slot reads borrow the register directly — the
-// interpreter's RelationRef copy carried no charge, so eliding it is one of
-// the compiled engine's wins).
+// evaluator's RelationRef copy carries no charge, so eliding it is one of
+// the compiled program's wins).
 struct Frame {
   ExecState* st = nullptr;
   EvalContext* fallback_ctx = nullptr;  // built only when the plan needs it
@@ -603,7 +603,7 @@ const Relation& EvalOp(int idx, Frame& f) {
 }
 
 // Root evaluation yielding an owned relation: borrows are copied (the
-// interpreter's RelationRef evaluation also copies), owned results move.
+// evaluator's RelationRef evaluation also copies), owned results move.
 Relation EvalOwnedOp(int idx, Frame& f) {
   const Relation& rel = EvalOp(idx, f);
   if (f.st->p->plan_ops[idx].kind == PlanOp::Kind::kSlotRef) {
@@ -692,7 +692,7 @@ Status RunMicroOp(ExecState& st, const MicroOp& op,
     }
     case MicroOp::Kind::kApply: {
       // Resolve the main diff and every compose-time-merged extra before
-      // any mutation, in the interpreter's per-diff check order.
+      // any mutation, main diff first, then the extras in order.
       if (op.apply_unregistered) {
         return CorruptScriptError(
             StrCat("apply of unregistered diff ", op.name));
@@ -790,9 +790,8 @@ Status RunInstruction(ExecState& st, const Instruction& inst) {
   const ExecEnv& env = *st.env;
   std::optional<DiffInstance> piped;
   for (const MicroOp& op : inst.ops) {
-    // Fallback subtrees get the interpreter's EvalContext, snapshotted at
-    // the micro-op boundary exactly as the interpreter snapshots bindings
-    // at step entry.
+    // Fallback subtrees get an evaluator EvalContext over the slot
+    // registers, snapshotted at the micro-op boundary (step entry).
     EvalContext fctx;
     EvalContext* fctx_ptr = nullptr;
     if (op.kind == MicroOp::Kind::kCompute && op.has_fallback) {
@@ -913,7 +912,7 @@ Status Execute(const ExecEnv& env) {
   lock.unlock();
   // Instructions cover contiguous step ranges in script order, so the
   // first failing instruction is the first failing step — the same error
-  // the interpreter reports.
+  // a sequential run reports.
   for (size_t i = 0; i < m; ++i) {
     IDIVM_RETURN_IF_ERROR(statuses[i]);
   }

@@ -1,10 +1,10 @@
-// The register VM executing CompiledPrograms (program.h): slot registers
-// hold transient relations, instructions run sequentially or over the same
-// conflict DAG the interpreter schedules, and every micro-op performs the
-// full per-step bookkeeping — private StatsArena, fault sites, trace
-// windows, undo capture, op-budget check — so a compiled epoch is
-// byte-identical to an interpreted one in table contents, AccessStats,
-// fault behaviour and error messages.
+// The register VM executing CompiledPrograms (program.h) — the only
+// ∆-script executor. Slot registers hold transient relations, instructions
+// run sequentially or over the rule conflict DAG (threads > 1), and every
+// micro-op performs the full per-step bookkeeping — private StatsArena,
+// fault sites, trace windows, undo capture, op-budget check — so an epoch
+// is identical at every thread count in table contents, AccessStats, fault
+// behaviour and error messages.
 
 #ifndef IDIVM_EXEC_VM_H_
 #define IDIVM_EXEC_VM_H_
@@ -31,8 +31,8 @@ namespace exec {
 
 // Everything one epoch execution needs. All pointers are borrowed and must
 // outlive the Execute call; `runs` must be sized to the program's step
-// count (the VM fills the same per-step records the interpreter does, so
-// the maintainer's merge loop is engine-agnostic).
+// count (the VM fills one record per original script step, which the
+// maintainer's merge loop reads).
 struct ExecEnv {
   Database* db = nullptr;
   const CompiledProgram* program = nullptr;
@@ -53,8 +53,7 @@ struct ExecEnv {
 };
 
 // Runs the program. On error the epoch's partial mutations are already in
-// `undo`; the caller rolls back (same contract as the interpreter's step
-// loop).
+// `undo`; the caller rolls back.
 Status Execute(const ExecEnv& env);
 
 }  // namespace exec

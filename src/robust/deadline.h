@@ -1,11 +1,11 @@
 // Cooperative per-refresh deadline: the watchdog half of the long-running
 // service story. A Deadline is armed before a refresh and checked by the
-// maintenance engines at every fault site (each ∆-script step entry and each
-// APPLY, in both the interpreter and the bytecode VM). An expired check
-// returns kDeadlineExceeded, which fails the epoch exactly like any other
-// recoverable error: the epoch rolls back and the degradation ladder takes
-// over (retry single-threaded → recompute → quarantine) — a stalled or
-// overlong refresh degrades instead of hanging the service.
+// ∆-script VM at every fault site (each ∆-script step entry and each
+// APPLY). An expired check returns kDeadlineExceeded, which fails the
+// epoch exactly like any other recoverable error: the epoch rolls back and
+// the degradation ladder takes over (retry single-threaded → recompute →
+// quarantine) — a stalled or overlong refresh degrades instead of hanging
+// the service.
 //
 // The first expired check after each Arm increments
 // idivm_refresh_deadline_trips_total (one trip per armed deadline, however

@@ -250,7 +250,6 @@ void MaintenanceService::RunRefresh() {
   }
   RefreshOptions refresh;
   refresh.threads = options_.threads;
-  refresh.engine = options_.engine;
   refresh.degrade = options_.degrade;
   refresh.fault = options_.fault;
   refresh.deadline =

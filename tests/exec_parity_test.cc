@@ -1,13 +1,12 @@
-// Engine parity against golden files: every observable surface of a
+// Executor parity against golden files: every observable surface of a
 // maintenance epoch — table contents, AccessStats, MaintainResult phases,
 // error messages, fault-site enumeration, rollback behaviour, ladder
 // outcomes and the MVCC redo hand-off — is pinned in the committed files
-// under tests/golden/exec_parity/, recorded from the per-step interpreter.
-// Both ∆-script engines (the interpreter and the compiled VM, src/exec) are
-// checked against them at every thread count, on every workload shape: the
-// running example, the script_io fuzz corpus view, and all eight BSMA
-// views. Any divergence is a compiler or VM bug, never an acceptable
-// "optimization".
+// under tests/golden/exec_parity/, recorded from the per-step interpreter
+// the compiled VM (src/exec) replaced. The VM is checked against them at
+// every thread count, on every workload shape: the running example, the
+// script_io fuzz corpus view, and all eight BSMA views. Any divergence is a
+// compiler or VM bug, never an acceptable "optimization".
 //
 // A golden file holds one test case: a sequence of blocks, each opened by
 // an "@@ <key>" line. On a mismatch the test prints the actual block in
@@ -20,7 +19,6 @@
 #include <map>
 #include <optional>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -64,6 +62,9 @@ class Golden {
       }
     }
   }
+
+  Golden(const Golden&) = delete;
+  Golden& operator=(const Golden&) = delete;
 
   ~Golden() {
     for (const auto& [key, text] : blocks_) {
@@ -216,15 +217,7 @@ struct EpochOutcome {
   }
 };
 
-struct EngineRun {
-  ExecEngine engine;
-  const char* name;
-};
-constexpr EngineRun kEngines[] = {{ExecEngine::kInterpret, "interpret"},
-                                  {ExecEngine::kCompiled, "compiled"}};
-
-EpochOutcome RunEpoch(const std::string& shape, ExecEngine engine,
-                      int threads,
+EpochOutcome RunEpoch(const std::string& shape, int threads,
                       std::optional<uint64_t> fire_at_site = std::nullopt,
                       int64_t max_epoch_ops = 0) {
   Database db;
@@ -239,7 +232,6 @@ EpochOutcome RunEpoch(const std::string& shape, ExecEngine engine,
   FaultInjector injector(fplan);
 
   MaintainOptions options;
-  options.engine = engine;
   options.threads = threads;
   options.fault = &injector;
   options.max_epoch_ops = max_epoch_ops;
@@ -266,13 +258,11 @@ class ExecParityShapeTest : public ::testing::TestWithParam<const char*> {};
 TEST_P(ExecParityShapeTest, CleanEpochMatchesAtEveryThreadCount) {
   const std::string shape = GetParam();
   Golden golden(StrCat("clean_", shape));
-  for (const EngineRun& e : kEngines) {
-    for (const int threads : {1, 2, 4, 8}) {
-      const EpochOutcome outcome = RunEpoch(shape, e.engine, threads);
-      EXPECT_EQ(outcome.status, OkStatus().ToString());
-      golden.Expect("epoch", outcome.Render(),
-                    StrCat(shape, " ", e.name, " threads=", threads));
-    }
+  for (const int threads : {1, 2, 4, 8}) {
+    const EpochOutcome outcome = RunEpoch(shape, threads);
+    EXPECT_EQ(outcome.status, OkStatus().ToString());
+    golden.Expect("epoch", outcome.Render(),
+                  StrCat(shape, " threads=", threads));
   }
 }
 
@@ -282,19 +272,14 @@ TEST_P(ExecParityShapeTest, CleanEpochMatchesAtEveryThreadCount) {
 TEST_P(ExecParityShapeTest, EveryFaultSiteDivergesNowhere) {
   const std::string shape = GetParam();
   Golden golden(StrCat("fault_sites_", shape));
-  for (const EngineRun& e : kEngines) {
-    const EpochOutcome probe = RunEpoch(shape, e.engine, /*threads=*/1);
-    ASSERT_GT(probe.sites_visited, 0u) << shape;
-    golden.Expect("sites", StrCat(probe.sites_visited, "\n"),
-                  StrCat(shape, " ", e.name));
-    for (uint64_t site = 0; site < probe.sites_visited; ++site) {
-      const std::string context =
-          StrCat(shape, " ", e.name, " site ", site);
-      const EpochOutcome outcome =
-          RunEpoch(shape, e.engine, /*threads=*/1, site);
-      EXPECT_NE(outcome.status, OkStatus().ToString()) << context;
-      golden.Expect(StrCat("site ", site), outcome.RenderFailed(), context);
-    }
+  const EpochOutcome probe = RunEpoch(shape, /*threads=*/1);
+  ASSERT_GT(probe.sites_visited, 0u) << shape;
+  golden.Expect("sites", StrCat(probe.sites_visited, "\n"), shape);
+  for (uint64_t site = 0; site < probe.sites_visited; ++site) {
+    const std::string context = StrCat(shape, " site ", site);
+    const EpochOutcome outcome = RunEpoch(shape, /*threads=*/1, site);
+    EXPECT_NE(outcome.status, OkStatus().ToString()) << context;
+    golden.Expect(StrCat("site ", site), outcome.RenderFailed(), context);
   }
 }
 
@@ -307,53 +292,43 @@ TEST_P(ExecParityShapeTest, EveryFaultSiteDivergesNowhere) {
 TEST_P(ExecParityShapeTest, ApplyFlushFaultRollsBackBatchedUndo) {
   const std::string shape = GetParam();
   Golden golden(StrCat("apply_flush_", shape));
-  for (const EngineRun& e : kEngines) {
-    const EpochOutcome probe = RunEpoch(shape, e.engine, /*threads=*/1);
-    ASSERT_EQ(probe.status, OkStatus().ToString());
-    // A clean epoch records whole-APPLY undo batches.
-    ASSERT_GT(probe.counters.count("idivm_undo_batches_total"), 0u) << shape;
-    ASSERT_GT(probe.counters.at("idivm_undo_batches_total"), 0) << shape;
+  const EpochOutcome probe = RunEpoch(shape, /*threads=*/1);
+  ASSERT_EQ(probe.status, OkStatus().ToString());
+  // A clean epoch records whole-APPLY undo batches.
+  ASSERT_GT(probe.counters.count("idivm_undo_batches_total"), 0u) << shape;
+  ASSERT_GT(probe.counters.at("idivm_undo_batches_total"), 0) << shape;
 
-    int flush_sites = 0;
-    int flush_sites_with_batches = 0;
-    for (uint64_t site = 0; site < probe.sites_visited; ++site) {
-      const EpochOutcome outcome =
-          RunEpoch(shape, e.engine, /*threads=*/1, site);
-      if (outcome.status.find("apply-flush:") == std::string::npos) continue;
-      ++flush_sites;
-      golden.Expect(StrCat("site ", site), outcome.RenderFailed(),
-                    StrCat(shape, " ", e.name, " flush site ", site));
-      // The batch flushed before the site fired: a faulted epoch whose
-      // applies modified anything recorded batched before-images, then
-      // rolled them back. (An APPLY of a no-op diff flushes an empty
-      // batch, which is counterless by design — so assert over the whole
-      // sweep.)
-      const auto batches = outcome.counters.find("idivm_undo_batches_total");
-      if (batches != outcome.counters.end() && batches->second > 0) {
-        ++flush_sites_with_batches;
-      }
+  int flush_sites = 0;
+  int flush_sites_with_batches = 0;
+  for (uint64_t site = 0; site < probe.sites_visited; ++site) {
+    const EpochOutcome outcome = RunEpoch(shape, /*threads=*/1, site);
+    if (outcome.status.find("apply-flush:") == std::string::npos) continue;
+    ++flush_sites;
+    golden.Expect(StrCat("site ", site), outcome.RenderFailed(),
+                  StrCat(shape, " flush site ", site));
+    // The batch flushed before the site fired: a faulted epoch whose
+    // applies modified anything recorded batched before-images, then
+    // rolled them back. (An APPLY of a no-op diff flushes an empty batch,
+    // which is counterless by design — so assert over the whole sweep.)
+    const auto batches = outcome.counters.find("idivm_undo_batches_total");
+    if (batches != outcome.counters.end() && batches->second > 0) {
+      ++flush_sites_with_batches;
     }
-    EXPECT_GT(flush_sites, 0) << shape << " " << e.name;
-    EXPECT_GT(flush_sites_with_batches, 0) << shape << " " << e.name;
   }
+  EXPECT_GT(flush_sites, 0) << shape;
+  EXPECT_GT(flush_sites_with_batches, 0) << shape;
 }
 
-// The specialized γ kernel engages on the compiled agg shape and never on
-// the interpreter; the eligible running-example γ step must always hit,
-// never fall back to the generic Contribute loop.
+// The specialized γ kernel engages on the agg shape; the eligible
+// running-example γ step must always hit, never fall back to the generic
+// Contribute loop.
 TEST(ExecParityTest, CompiledAggEngagesKernel) {
   const auto counter = [](const char* name) {
     return obs::MetricsRegistry::Global().CounterValue(name);
   };
   const int64_t hits0 = counter("idivm_agg_kernel_hits_total");
   const int64_t misses0 = counter("idivm_agg_kernel_misses_total");
-  const EpochOutcome interpret =
-      RunEpoch("agg", ExecEngine::kInterpret, /*threads=*/1);
-  ASSERT_EQ(interpret.status, OkStatus().ToString());
-  EXPECT_EQ(counter("idivm_agg_kernel_hits_total"), hits0);
-  EXPECT_EQ(counter("idivm_agg_kernel_misses_total"), misses0);
-  const EpochOutcome compiled =
-      RunEpoch("agg", ExecEngine::kCompiled, /*threads=*/1);
+  const EpochOutcome compiled = RunEpoch("agg", /*threads=*/1);
   ASSERT_EQ(compiled.status, OkStatus().ToString());
   EXPECT_GT(counter("idivm_agg_kernel_hits_total"), hits0);
   EXPECT_EQ(counter("idivm_agg_kernel_misses_total"), misses0);
@@ -364,16 +339,12 @@ TEST(ExecParityTest, CompiledAggEngagesKernel) {
 TEST_P(ExecParityShapeTest, OpBudgetTripsIdentically) {
   const std::string shape = GetParam();
   Golden golden(StrCat("op_budget_", shape));
-  for (const EngineRun& e : kEngines) {
-    for (const int64_t budget : {1, 3}) {
-      const std::string context =
-          StrCat(shape, " ", e.name, " budget=", budget);
-      const EpochOutcome outcome = RunEpoch(shape, e.engine, /*threads=*/1,
-                                            std::nullopt, budget);
-      EXPECT_NE(outcome.status, OkStatus().ToString()) << context;
-      golden.Expect(StrCat("budget ", budget), outcome.RenderFailed(),
-                    context);
-    }
+  for (const int64_t budget : {1, 3}) {
+    const std::string context = StrCat(shape, " budget=", budget);
+    const EpochOutcome outcome =
+        RunEpoch(shape, /*threads=*/1, std::nullopt, budget);
+    EXPECT_NE(outcome.status, OkStatus().ToString()) << context;
+    golden.Expect(StrCat("budget ", budget), outcome.RenderFailed(), context);
   }
 }
 
@@ -397,7 +368,7 @@ std::string RenderBsma(Database* db, const MaintainResult& result) {
                 result.ToString(), "\ntables:\n", TableFingerprints(db));
 }
 
-std::string RunBsma(const std::string& view, ExecEngine engine, int threads) {
+std::string RunBsma(const std::string& view, int threads) {
   Database db;
   BsmaWorkload workload(&db, SmallConfig());
   Maintainer m(&db, CompileView("v", workload.ViewPlan(view), db));
@@ -405,7 +376,6 @@ std::string RunBsma(const std::string& view, ExecEngine engine, int threads) {
   workload.ApplyUserUpdates(&logger, 40);
 
   MaintainOptions options;
-  options.engine = engine;
   options.threads = threads;
   MaintainResult result;
   const Status status = m.TryMaintain(logger.NetChanges(), options, &result);
@@ -417,14 +387,14 @@ std::string RunBsma(const std::string& view, ExecEngine engine, int threads) {
 
 class ExecParityBsmaTest : public ::testing::TestWithParam<std::string> {};
 
+// The name predates the interpreter's removal; the golden files are its
+// recorded outputs.
 TEST_P(ExecParityBsmaTest, CompiledMatchesInterpreter) {
   const std::string view = GetParam();
   Golden golden(StrCat("bsma_", view));
-  golden.Expect("epoch", RunBsma(view, ExecEngine::kInterpret, 1),
-                StrCat(view, " interpret threads=1"));
   for (const int threads : {1, 2, 4, 8}) {
-    golden.Expect("epoch", RunBsma(view, ExecEngine::kCompiled, threads),
-                  StrCat(view, " compiled threads=", threads));
+    golden.Expect("epoch", RunBsma(view, threads),
+                  StrCat(view, " threads=", threads));
   }
 }
 
@@ -441,25 +411,19 @@ INSTANTIATE_TEST_SUITE_P(AllViews, ExecParityBsmaTest,
 // produce a script that compiles differently from the one it serialized.
 TEST(ExecParityTest, LoadedCorpusViewMatches) {
   Golden golden("loaded_corpus_qs1");
-  for (const EngineRun& e : kEngines) {
-    Database db;
-    BsmaWorkload workload(&db, SmallConfig());
-    const CompiledView compiled =
-        CompileView("v", workload.ViewPlan("qs1"), db);
-    const std::string corpus = SerializeCompiledView(compiled);
-    const LoadResult loaded = LoadCompiledView(corpus, db);
-    EXPECT_TRUE(loaded.ok) << loaded.error;
-    Maintainer m(&db, loaded.view);
-    ModificationLogger logger(&db);
-    workload.ApplyUserUpdates(&logger, 40);
-    MaintainOptions options;
-    options.engine = e.engine;
-    MaintainResult result;
-    const Status status =
-        m.TryMaintain(logger.NetChanges(), options, &result);
-    EXPECT_TRUE(status.ok()) << status.ToString();
-    golden.Expect("epoch", RenderBsma(&db, result), e.name);
-  }
+  Database db;
+  BsmaWorkload workload(&db, SmallConfig());
+  const CompiledView compiled = CompileView("v", workload.ViewPlan("qs1"), db);
+  const std::string corpus = SerializeCompiledView(compiled);
+  const LoadResult loaded = LoadCompiledView(corpus, db);
+  EXPECT_TRUE(loaded.ok) << loaded.error;
+  Maintainer m(&db, loaded.view);
+  ModificationLogger logger(&db);
+  workload.ApplyUserUpdates(&logger, 40);
+  MaintainResult result;
+  const Status status = m.TryMaintain(logger.NetChanges(), {}, &result);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  golden.Expect("epoch", RenderBsma(&db, result), "qs1");
 }
 
 // ---- ViewManager: ladder, MVCC hand-off, program cache ------------------
@@ -468,7 +432,7 @@ TEST(ExecParityTest, LoadedCorpusViewMatches) {
 // (view, rung, recovered), quarantine set and final tables — for every
 // seed — then recovery.
 TEST(ExecParityTest, LadderStormsMatch) {
-  auto run = [](ExecEngine engine, int seed) {
+  auto run = [](int seed) {
     Database db;
     testing::LoadRunningExample(&db);
     ViewManager vm(&db);
@@ -485,7 +449,6 @@ TEST(ExecParityTest, LadderStormsMatch) {
     plan.max_fires = (seed % 4);
     FaultInjector injector(plan);
     RefreshOptions options;
-    options.engine = engine;
     options.fault = &injector;
     RefreshReport report;
     EXPECT_TRUE(vm.TryRefresh(options, &report).ok());
@@ -507,11 +470,8 @@ TEST(ExecParityTest, LadderStormsMatch) {
     return out + "tables:\n" + TableFingerprints(&db);
   };
   Golden golden("ladder_storms");
-  for (const EngineRun& e : kEngines) {
-    for (int seed = 0; seed < 12; ++seed) {
-      golden.Expect(StrCat("seed ", seed), run(e.engine, seed),
-                    StrCat(e.name, " seed ", seed));
-    }
+  for (int seed = 0; seed < 12; ++seed) {
+    golden.Expect(StrCat("seed ", seed), run(seed), StrCat("seed ", seed));
   }
 }
 
@@ -519,35 +479,30 @@ TEST(ExecParityTest, LadderStormsMatch) {
 // the published snapshot equals the live tables after the flip.
 TEST(ExecParityTest, MvccRedoHandOffMatches) {
   Golden golden("mvcc_redo_hand_off");
-  for (const EngineRun& e : kEngines) {
-    Database db;
-    testing::LoadRunningExample(&db);
-    ViewManager vm(&db);
-    vm.EnableSnapshotReads();
-    vm.DefineView("v_spj", testing::RunningExampleSpjPlan(db));
-    vm.DefineView("v_agg", testing::RunningExampleAggPlan(db));
-    EXPECT_TRUE(vm.Update("parts", {Value("P1")}, {"price"},
-                          {Value(11.0)}));
-    EXPECT_TRUE(vm.Insert("parts", {Value("P5"), Value(50.0)}));
-    EXPECT_TRUE(vm.Insert("devices_parts", {Value("D1"), Value("P5")}));
-    RefreshOptions options;
-    options.engine = e.engine;
-    RefreshReport report;
-    EXPECT_TRUE(vm.TryRefresh(options, &report).ok());
-    const mvcc::Snapshot snapshot = vm.OpenSnapshot();
-    std::string out;
-    for (const std::string name : {"v_spj", "v_agg"}) {
-      const Relation live = db.GetTable(name).SnapshotUncounted();
-      const Relation versioned = snapshot.Read(name).Scan();
-      EXPECT_TRUE(versioned.BagEquals(live)) << name;
-      out += "== " + name + " ==\n" + versioned.Sorted().ToString();
-    }
-    golden.Expect("snapshot", out, e.name);
+  Database db;
+  testing::LoadRunningExample(&db);
+  ViewManager vm(&db);
+  vm.EnableSnapshotReads();
+  vm.DefineView("v_spj", testing::RunningExampleSpjPlan(db));
+  vm.DefineView("v_agg", testing::RunningExampleAggPlan(db));
+  EXPECT_TRUE(vm.Update("parts", {Value("P1")}, {"price"}, {Value(11.0)}));
+  EXPECT_TRUE(vm.Insert("parts", {Value("P5"), Value(50.0)}));
+  EXPECT_TRUE(vm.Insert("devices_parts", {Value("D1"), Value("P5")}));
+  RefreshReport report;
+  EXPECT_TRUE(vm.TryRefresh({}, &report).ok());
+  const mvcc::Snapshot snapshot = vm.OpenSnapshot();
+  std::string out;
+  for (const std::string name : {"v_spj", "v_agg"}) {
+    const Relation live = db.GetTable(name).SnapshotUncounted();
+    const Relation versioned = snapshot.Read(name).Scan();
+    EXPECT_TRUE(versioned.BagEquals(live)) << name;
+    out += "== " + name + " ==\n" + versioned.Sorted().ToString();
   }
+  golden.Expect("snapshot", out, "mvcc");
 }
 
 // The manager's program cache: second refresh hits, catalog changes
-// invalidate, and the interpreter never touches it.
+// invalidate.
 TEST(ExecParityTest, ProgramCacheHitsAndInvalidation) {
   Database db;
   testing::LoadRunningExample(&db);
@@ -561,7 +516,6 @@ TEST(ExecParityTest, ProgramCacheHitsAndInvalidation) {
   const int64_t misses0 = counter("idivm_program_cache_misses_total");
 
   RefreshOptions options;
-  options.engine = ExecEngine::kCompiled;
   RefreshReport report;
   EXPECT_TRUE(vm.Update("parts", {Value("P1")}, {"price"}, {Value(12.0)}));
   ASSERT_TRUE(vm.TryRefresh(options, &report).ok());
@@ -573,17 +527,10 @@ TEST(ExecParityTest, ProgramCacheHitsAndInvalidation) {
   EXPECT_EQ(counter("idivm_program_cache_misses_total"), misses0 + 1);
   EXPECT_EQ(counter("idivm_program_cache_hits_total"), hits0 + 1);
 
-  // DefineView invalidates: the next compiled refresh recompiles both.
+  // DefineView invalidates: the next refresh recompiles both.
   vm.DefineView("v_agg", testing::RunningExampleAggPlan(db));
   EXPECT_TRUE(vm.Update("parts", {Value("P1")}, {"price"}, {Value(14.0)}));
   ASSERT_TRUE(vm.TryRefresh(options, &report).ok());
-  EXPECT_EQ(counter("idivm_program_cache_misses_total"), misses0 + 3);
-  EXPECT_EQ(counter("idivm_program_cache_hits_total"), hits0 + 1);
-
-  // The interpreting engine neither hits nor misses.
-  EXPECT_TRUE(vm.Update("parts", {Value("P1")}, {"price"}, {Value(15.0)}));
-  RefreshOptions interpret;
-  ASSERT_TRUE(vm.TryRefresh(interpret, &report).ok());
   EXPECT_EQ(counter("idivm_program_cache_misses_total"), misses0 + 3);
   EXPECT_EQ(counter("idivm_program_cache_hits_total"), hits0 + 1);
 }
@@ -593,8 +540,7 @@ TEST(ExecParityTest, ProgramCacheHitsAndInvalidation) {
 TEST(ExecParityTest, CompilationFusesSteps) {
   const int64_t fused0 = obs::MetricsRegistry::Global().CounterValue(
       "idivm_fused_steps_total");
-  const EpochOutcome compiled =
-      RunEpoch("spj", ExecEngine::kCompiled, /*threads=*/1);
+  const EpochOutcome compiled = RunEpoch("spj", /*threads=*/1);
   ASSERT_EQ(compiled.status, OkStatus().ToString());
   EXPECT_GT(obs::MetricsRegistry::Global().CounterValue(
                 "idivm_fused_steps_total"),

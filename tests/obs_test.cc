@@ -240,20 +240,37 @@ TEST(ObsTraceTest, FailedEpochRecordsZeroChargeSpan) {
   options.trace = &recorder;
   options.max_epoch_ops = 1;  // guaranteed kResourceExhausted
   MaintainResult result;
-  const Status status = m.TryMaintain(logger.NetChanges(), options, &result);
-  ASSERT_FALSE(status.ok());
 
-  // The rolled-back epoch published nothing, so its span charges nothing
-  // and no rule spans survive.
+  const auto expect_failed_epoch = [](const TraceSpan& span) {
+    EXPECT_EQ(span.category, "epoch");
+    EXPECT_EQ(span.accesses.TotalAccesses(), 0);
+    bool failed_arg = false;
+    for (const auto& [key, value] : span.args) {
+      if (key == "failed" && value == 1) failed_arg = true;
+    }
+    EXPECT_TRUE(failed_arg);
+  };
+
+  // Cold: the maintainer compiles its program on the first epoch, which
+  // records the charge-free "compile" span; the rolled-back epoch published
+  // nothing, so its span charges nothing and no rule spans survive.
+  ASSERT_FALSE(m.TryMaintain(logger.NetChanges(), options, &result).ok());
+  std::vector<TraceSpan> spans = recorder.Snapshot();
+  ASSERT_EQ(spans.size(), 2u);
+  std::sort(spans.begin(), spans.end(),
+            [](const TraceSpan& a, const TraceSpan& b) {
+              return a.category < b.category;
+            });
+  EXPECT_EQ(spans[0].category, "compile");
+  EXPECT_EQ(spans[0].accesses.TotalAccesses(), 0);
+  expect_failed_epoch(spans[1]);
+
+  // Warm: the program is kept, so the failed epoch records exactly its own
+  // zero-charge span.
+  recorder.Clear();
+  ASSERT_FALSE(m.TryMaintain(logger.NetChanges(), options, &result).ok());
   ASSERT_EQ(recorder.size(), 1u);
-  const TraceSpan span = recorder.Snapshot()[0];
-  EXPECT_EQ(span.category, "epoch");
-  EXPECT_EQ(span.accesses.TotalAccesses(), 0);
-  bool failed_arg = false;
-  for (const auto& [key, value] : span.args) {
-    if (key == "failed" && value == 1) failed_arg = true;
-  }
-  EXPECT_TRUE(failed_arg);
+  expect_failed_epoch(recorder.Snapshot()[0]);
   EXPECT_EQ(db.stats().TotalAccesses(), 0);
 }
 
