@@ -114,7 +114,7 @@ int main(int argc, char** argv) {
 
   std::printf("\nConcurrent snapshot reads during maintenance (BSMA)\n");
   std::printf("users=%d, %zu tables (8 views + user), readers=%d, "
-              "rounds=%d x %d update diffs, script threads=%d (of %d "
+              "rounds=%d x %d update diffs, refresh threads=%d (of %d "
               "hardware)\n",
               users, tables.size(), flags.readers, rounds, mods,
               flags.threads, ThreadPool::HardwareThreads());
@@ -155,9 +155,7 @@ int main(int argc, char** argv) {
   const auto refresh_start = std::chrono::steady_clock::now();
   for (int round = 0; round < rounds; ++round) {
     workload.ApplyUserUpdates(&vm.logger(), mods);
-    RefreshOptions options;
-    options.script_threads = flags.threads;
-    vm.Refresh(options);
+    vm.Refresh(RefreshOptions{.threads = flags.threads});
     record_expected();
   }
   const double refresh_seconds =

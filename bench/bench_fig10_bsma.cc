@@ -13,7 +13,6 @@
 #include <cstring>
 
 #include "bench/bench_util.h"
-#include "src/common/thread_pool.h"
 #include "src/core/compose.h"
 #include "src/core/maintainer.h"
 #include "src/core/modification_log.h"
@@ -31,7 +30,7 @@ namespace {
 // retry / recompute / quarantine machinery the chaos tests assert on, at
 // bench scale.
 int RunChaosMode(const idivm::BsmaConfig& config, int64_t updates,
-                 int threads, double fault_rate, idivm::DegradePolicy policy,
+                 double fault_rate, idivm::DegradePolicy policy,
                  int64_t max_epoch_ops) {
   using namespace idivm;
   Database db;
@@ -47,7 +46,6 @@ int RunChaosMode(const idivm::BsmaConfig& config, int64_t updates,
   plan.seed = 20260805;
   FaultInjector injector(plan);
   RefreshOptions options;
-  options.script_threads = threads;
   options.degrade = policy;
   options.fault = &injector;
   options.max_epoch_ops = max_epoch_ops;
@@ -94,7 +92,7 @@ int main(int argc, char** argv) {
   double fault_rate = 0.0;
   DegradePolicy policy = DegradePolicy::kQuarantine;
   int64_t max_epoch_ops = 0;
-  bench::BenchFlags flags;
+  bench::ObsFlags flags;
   for (int i = 1; i < argc; ++i) {
     if (flags.Match(argc, argv, &i)) {
     } else if (std::strcmp(argv[i], "--users") == 0) {
@@ -114,22 +112,21 @@ int main(int argc, char** argv) {
           bench::FlagValue("--max-epoch-ops", argc, argv, &i));
     } else {
       bench::FlagError(argv[i],
-                       "is not recognized (supported: --threads N, "
-                       "--users N, --inject-fault-rate R, --degrade-policy P, "
+                       "is not recognized (supported: --users N, "
+                       "--inject-fault-rate R, --degrade-policy P, "
                        "--max-epoch-ops N, --trace-out PATH, "
                        "--metrics-out PATH)");
     }
   }
   flags.Install();
-  const int threads = flags.threads;
 
   BsmaConfig config;  // defaults: 2000 users, paper table ratios
   if (users > 0) config.users = users;
   const int64_t kUpdates = 100;
 
   if (fault_rate > 0.0 || max_epoch_ops > 0) {
-    const int exit_code = RunChaosMode(config, kUpdates, threads, fault_rate,
-                                       policy, max_epoch_ops);
+    const int exit_code =
+        RunChaosMode(config, kUpdates, fault_rate, policy, max_epoch_ops);
     flags.WriteOutputs();
     return exit_code;
   }
@@ -137,10 +134,8 @@ int main(int argc, char** argv) {
   std::printf("\nFigure 10: BSMA social analytics, %lld user-attribute "
               "update diffs\n",
               static_cast<long long>(kUpdates));
-  std::printf("users=%lld (tables scaled at the paper's ratios); ∆-script "
-              "threads=%d (of %d hardware)\n\n",
-              static_cast<long long>(config.users), threads,
-              ThreadPool::HardwareThreads());
+  std::printf("users=%lld (tables scaled at the paper's ratios)\n\n",
+              static_cast<long long>(config.users));
   std::printf("%-5s %-46s %12s %12s %9s %9s %10s %8s\n", "view",
               "description", "ID-acc", "Tuple-acc", "ID-ms", "Tuple-ms",
               "speedup", "paper");
@@ -161,8 +156,7 @@ int main(int argc, char** argv) {
       ModificationLogger logger(&db);
       workload.ApplyUserUpdates(&logger, kUpdates);
       db.stats().Reset();
-      id_result = m.Maintain(logger.NetChanges(),
-                             MaintainOptions{.threads = threads});
+      id_result = m.Maintain(logger.NetChanges());
     }
     {
       Database db;

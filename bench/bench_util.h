@@ -219,7 +219,7 @@ class ObsFlags {
 };
 
 // ---- Shared bench flags --------------------------------------------------
-// The flags every bench re-declared by hand: --threads N (∆-script / replay
+// The flags every bench re-declared by hand: --threads N (refresh / replay
 // workers), optionally --readers N (concurrent snapshot readers), and the
 // observability pair. A bench's flag loop delegates to Match() first and
 // handles only its own flags; unrecognized flags still fail loudly in the

@@ -1,7 +1,5 @@
 #include "src/core/maintainer.h"
 
-#include <cstdio>
-#include <cstdlib>
 #include <set>
 #include <utility>
 #include <vector>
@@ -196,7 +194,6 @@ Status Maintainer::TryMaintain(
   env.fault = options.fault;
   env.deadline = options.deadline;
   env.max_epoch_ops = options.max_epoch_ops;
-  env.threads = options.threads;
   env.trace = trace;
   env.apply_observer = apply_observer_ ? &apply_observer_ : nullptr;
   env.runs = &runs;
@@ -237,20 +234,12 @@ Status Maintainer::TryMaintain(
   }
 
   // Merge: phase attribution, apply counters and the shared AccessStats
-  // sinks, all on this thread in script order — identical to the sequential
-  // totals whatever the execution interleaving was.
-  // Set IDIVM_TRACE_STEPS=1 to print per-step access costs (debugging).
-  static const bool trace_env = std::getenv("IDIVM_TRACE_STEPS") != nullptr;
+  // sinks, in script order.
   AccessStats epoch_accesses = setup_accesses;
   for (size_t i = 0; i < n; ++i) {
     PhaseCost cost;
     cost.accesses = runs[i].arena.Sum(&db_->stats());
     cost.seconds = runs[i].seconds;
-    if (trace_env) {
-      std::fprintf(stderr, "[step %zu] %-40s %s\n", i,
-                   step_access_[i].label.c_str(),
-                   cost.accesses.ToString().c_str());
-    }
     epoch_accesses += cost.accesses;
     obs::GlobalCounter(
         obs::RuleAccessCounterName(view_.view_name, step_access_[i].label))
@@ -320,7 +309,6 @@ Status Maintainer::TryMaintain(
     span.dur_us = trace->NowMicros() - epoch_start_us;
     span.accesses = epoch_accesses;
     span.args.emplace_back("steps", static_cast<int64_t>(n));
-    span.args.emplace_back("threads", options.threads);
     span.args.emplace_back("diff_tuples", result.diff_tuples_applied);
     span.args.emplace_back("rows_touched", result.rows_touched);
     span.args.emplace_back("dummy_tuples", result.dummy_tuples);

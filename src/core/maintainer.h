@@ -5,14 +5,12 @@
 // register VM (src/exec) — attributing costs and wall time to the phases of
 // Fig. 12 (diff computation / cache update / view update).
 //
-// With MaintainOptions::threads > 1 the VM schedules steps over the rule
-// DAG (Fig. 6): steps whose input diffs are ready and whose stored-table
-// accesses do not conflict run concurrently on a thread pool, so the
-// independent per-base-table diff chains of the script proceed in parallel.
-// Blocking (aggregation) steps act as barriers. Per-step costs accumulate in
-// thread-private StatsArenas and are merged single-threaded in script order,
-// so view contents and every AccessStats counter are identical to sequential
-// execution (asserted by parallel_maintain_test).
+// An epoch runs on the calling thread, step after step in script order.
+// Each step charges its costs to a private StatsArena; the maintainer
+// merges the arenas in script order once the epoch commits, so a failed
+// epoch publishes nothing. Parallelism lives one level up: ViewManager's
+// Refresh maintains whole views concurrently (DESIGN.md "Parallel
+// refresh").
 
 #ifndef IDIVM_CORE_MAINTAINER_H_
 #define IDIVM_CORE_MAINTAINER_H_
@@ -52,10 +50,6 @@ struct PhaseCost {
 };
 
 struct MaintainOptions {
-  // Number of worker threads executing the ∆-script. 1 (the default) runs
-  // the steps sequentially on the calling thread — the pre-parallel
-  // behaviour, bit for bit. Values > 1 enable the DAG scheduler.
-  int threads = 1;
   // Fault-injection hook (chaos tests / benches); nullptr leaves the hot
   // path fault-free.
   FaultInjector* fault = nullptr;
@@ -123,10 +117,10 @@ class Maintainer {
   // Fault-isolated epoch execution: runs the ∆-script recording an undo
   // entry per stored-table row it mutates (view, caches, γ operator
   // caches). On any failure — corrupt script, apply conflict, exhausted op
-  // budget, injected fault, from any worker thread — every table is rolled
-  // back to its pre-epoch contents, no AccessStats are published (per-step
-  // arenas are simply dropped), `*result` is left untouched, and the error
-  // is returned. On success behaves exactly like Maintain.
+  // budget, injected fault — every table is rolled back to its pre-epoch
+  // contents, no AccessStats are published (per-step arenas are simply
+  // dropped), `*result` is left untouched, and the error is returned. On
+  // success behaves exactly like Maintain.
   Status TryMaintain(
       const std::map<std::string, std::vector<Modification>>& net_changes,
       const MaintainOptions& options, MaintainResult* result);
@@ -134,10 +128,8 @@ class Maintainer {
   // Observability hook: called for every APPLY step just before execution
   // with the target table name and the diff instance. Used by tests to
   // verify the Section 2 effectiveness conditions on emitted diffs, and by
-  // embedders for audit logging. Not part of the cost model. With
-  // options.threads > 1 the observer may be invoked from worker threads
-  // (APPLY steps to *different* targets can run concurrently); it must be
-  // thread-safe then.
+  // embedders for audit logging. Not part of the cost model. Called on
+  // the thread running the epoch.
   using ApplyObserver =
       std::function<void(const std::string& target, const DiffInstance&)>;
   void set_apply_observer(ApplyObserver observer) {

@@ -1,10 +1,9 @@
-// Scheduler-facing analysis of ∆-script steps, shared by the compiler
-// (src/exec) and the maintainer's merge (src/core/maintainer.cc): which
-// transients and stored tables a step touches, whether it is a blocking
-// barrier, its cost-model phase and its stable label (fault sites, per-rule
-// counters and trace spans are all keyed on the label). StepRun is the
-// per-step execution record the VM fills and the maintainer merges
-// single-threaded in script order.
+// Per-step analysis of ∆-scripts, shared by the compiler (src/exec) and the
+// maintainer's merge (src/core/maintainer.cc): the transients and stored
+// tables a plan references, and each step's cost-model phase and stable
+// label (fault sites, per-rule counters and trace spans are all keyed on
+// the label). StepRun is the per-step execution record the VM fills and
+// the maintainer merges in script order.
 
 #ifndef IDIVM_CORE_STEP_ACCESS_H_
 #define IDIVM_CORE_STEP_ACCESS_H_
@@ -28,34 +27,20 @@ void CollectTransientRefs(const PlanPtr& plan, std::set<std::string>* out);
 // children are ordinary subplans and are covered by their own Scans).
 void CollectScanTables(const PlanPtr& plan, std::set<std::string>* out);
 
-// The scheduler-relevant footprint of one script step.
+// The cost-model phase and label of one script step.
 struct StepAccess {
-  std::set<std::string> transient_reads;
-  std::set<std::string> transient_writes;
-  std::set<std::string> table_reads;
-  std::set<std::string> table_writes;
-  // Blocking γ steps merge every branch that reaches them and mutate the
-  // shared transient store while running: they execute as barriers.
-  bool exclusive = false;
   MaintPhase phase = MaintPhase::kDiffComputation;
   std::string label;
-
-  // Folds another step's footprint into this one (fused instructions: the
-  // union footprint keeps the DAG edges of every constituent step).
-  void MergeFrom(const StepAccess& other);
 };
 
-// Computes the footprint, phase and label of one step.
+// Computes the phase and label of one step.
 StepAccess AnalyzeStep(const ScriptStep& step);
 
-// True when the earlier step `a` must complete before `b` may start.
-bool StepsConflict(const StepAccess& a, const StepAccess& b);
-
 // Per-step execution record: every access charge lands in the step's
-// private arena (no shared-counter writes while steps run), wall time and
-// apply counters are per-step too. Everything is merged single-threaded,
-// in script order, after execution — so the published counters cannot go
-// backwards, double-count, or depend on the interleaving.
+// private arena, and wall time and apply counters are per-step too. The
+// maintainer merges the records in script order after execution, so a
+// failed epoch publishes nothing and a committed one attributes every
+// charge to its step and phase.
 struct StepRun {
   StatsArena arena;
   double seconds = 0;

@@ -313,7 +313,6 @@ Status ViewManager::TryRefresh(const RefreshOptions& options,
   }
 
   MaintainOptions mopts;
-  mopts.threads = options.script_threads;
   mopts.fault = options.fault;
   mopts.deadline = options.deadline;
   mopts.max_epoch_ops = options.max_epoch_ops;
@@ -348,14 +347,11 @@ Status ViewManager::TryRefresh(const RefreshOptions& options,
     run->first_error = std::move(status);
     ++run->rollbacks;
     if (options.degrade == DegradePolicy::kFailFast) return;
-    // Rung 1: the epoch rolled back cleanly, so a single-threaded re-run
-    // starts from exactly the pre-epoch state; transient failures (an
-    // injected fault whose budget is spent, a scheduling hazard) do not
-    // repeat deterministically.
+    // Rung 1: the epoch rolled back cleanly, so a re-run starts from
+    // exactly the pre-epoch state; transient failures (an injected fault
+    // whose budget is spent) do not repeat.
     run->retried = true;
-    MaintainOptions retry = vopts;
-    retry.threads = 1;
-    status = m.TryMaintain(net, retry, &run->result);
+    status = m.TryMaintain(net, vopts, &run->result);
     if (status.ok()) {
       run->serviceable = true;
       return;

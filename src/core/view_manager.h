@@ -11,10 +11,10 @@
 // Two refresh entry points. TryRefresh is the fault-isolated path: every
 // view maintains inside an atomic, roll-backable epoch (src/robust/epoch.h)
 // and a failed epoch walks the degradation ladder (DegradePolicy below) —
-// retry single-threaded, recompute from base tables, quarantine — instead
-// of taking the process down. Refresh is a thin IDIVM_CHECK wrapper over
-// TryRefresh that keeps the original abort-on-error semantics for callers
-// with nothing to recover to.
+// retry, recompute from base tables, quarantine — instead of taking the
+// process down. Refresh is a thin IDIVM_CHECK wrapper over TryRefresh that
+// keeps the original abort-on-error semantics for callers with nothing to
+// recover to.
 
 #ifndef IDIVM_CORE_VIEW_MANAGER_H_
 #define IDIVM_CORE_VIEW_MANAGER_H_
@@ -43,7 +43,7 @@ enum class RefreshMode { kDeferred, kEager };
 // rung before it.
 enum class DegradePolicy {
   kFailFast,    // rung 0 only: roll back, surface the error
-  kRetry,       // + rung 1: re-run the epoch single-threaded
+  kRetry,       // + rung 1: re-run the rolled-back epoch
   kRecompute,   // + rung 2: rematerialize the view from base tables
   kQuarantine,  // + rung 3: take the view out of service, keep going
 };
@@ -61,8 +61,6 @@ struct RefreshOptions {
   // and published in definition order, so all AccessStats counters match
   // the sequential run exactly.
   int threads = 1;
-  // Worker threads *within* each view's ∆-script (MaintainOptions::threads).
-  int script_threads = 1;
   // How far to escalate when a view's epoch fails. Rungs 0 and 1 run
   // wherever the view is being maintained; rungs 2 and 3 run on the
   // calling thread after every view finished (they touch shared state).
@@ -146,9 +144,9 @@ class ViewManager {
 
   // Fault-isolated refresh. Every view is maintained as an atomic epoch;
   // a failed epoch rolls its view back to pre-refresh contents and walks
-  // the options.degrade ladder: retry single-threaded → rematerialize from
-  // base tables → quarantine. Each rung is counted in the database's
-  // AccessStats (epoch_rollbacks / degraded_retries / recompute_fallbacks /
+  // the options.degrade ladder: retry → rematerialize from base tables →
+  // quarantine. Each rung is counted in the database's AccessStats
+  // (epoch_rollbacks / degraded_retries / recompute_fallbacks /
   // quarantines). Returns non-OK only when the ladder was not allowed to
   // absorb the failure (kFailFast/kRetry/kRecompute policies); the
   // modification log is consumed either way — base-table changes stay

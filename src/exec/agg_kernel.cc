@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "src/common/str_util.h"
 #include "src/expr/expr.h"
 
 namespace idivm {
@@ -70,16 +69,6 @@ void AggKernel::Accumulate(const Relation& rel, double sign,
       FoldImpl<0>(rel, sign, deltas);
       break;
   }
-}
-
-std::string AggKernel::Signature() const {
-  std::string args;
-  for (size_t k = 0; k < specs_.size(); ++k) {
-    if (k > 0) args += ",";
-    args += specs_[k].has_arg ? StrCat("c", specs_[k].arg_col) : "*";
-  }
-  return StrCat("g", group_cols_.size(), "/args:", args,
-                all_numeric_ ? "/numeric" : "/mixed");
 }
 
 std::unique_ptr<AggKernel> BuildAggKernel(const AggregateStep& step,

@@ -22,7 +22,6 @@
 #define IDIVM_EXEC_AGG_KERNEL_H_
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "src/core/aggregate_exec.h"
@@ -51,10 +50,6 @@ class AggKernel : public AggAccumulator {
 
   void Accumulate(const Relation& rel, double sign,
                   GroupDeltaMap* deltas) override;
-
-  // Human-readable signature, e.g. "g1/args:c3,*,c5/numeric" — used by
-  // IDIVM_TRACE_STEPS step dumps.
-  std::string Signature() const;
 
  private:
   // Arity 0 compiles the dynamic-arity fallback; 1 and 2 unroll the

@@ -92,11 +92,10 @@ class ScriptCompiler {
       for (const std::string& r : refs) ++readers[r];
     }
 
-    std::vector<StepAccess> access(n);
     std::vector<MicroOp> mops(n);
     for (size_t i = 0; i < n; ++i) {
-      access[i] = AnalyzeStep(script.steps[i]);
-      mops[i] = LowerStep(i, script.steps[i], access[i].label);
+      mops[i] =
+          LowerStep(i, script.steps[i], AnalyzeStep(script.steps[i]).label);
     }
 
     // Instruction grouping: fuse compute(i) into apply(i+1) when the apply
@@ -117,13 +116,10 @@ class ScriptCompiler {
         mops[i].publish_output = readers[step.compute->out_name] > 1;
         mops[i + 1].piped_input = true;
         inst.ops.push_back(std::move(mops[i]));
-        inst.access = access[i];
         inst.ops.push_back(std::move(mops[i + 1]));
-        inst.access.MergeFrom(access[i + 1]);
         j = i + 2;
       } else {
         inst.ops.push_back(std::move(mops[i]));
-        inst.access = access[i];
       }
       if (inst.ops.back().kind == MicroOp::Kind::kApply) {
         const std::string& target =
@@ -131,7 +127,6 @@ class ScriptCompiler {
         while (j < n && script.steps[j].apply.has_value() &&
                script.steps[j].apply->target_table == target) {
           inst.ops.push_back(std::move(mops[j]));
-          inst.access.MergeFrom(access[j]);
           ++j;
         }
       }

@@ -23,7 +23,6 @@
 #include "src/algebra/plan.h"
 #include "src/core/aggregate_exec.h"
 #include "src/core/delta_script.h"
-#include "src/core/step_access.h"
 #include "src/exec/agg_kernel.h"
 #include "src/expr/expr.h"
 
@@ -166,12 +165,9 @@ struct MicroOp {
   std::shared_ptr<AggKernel> kernel;
 };
 
-// One schedulable unit: a maximal fused run of micro-ops. Its footprint is
-// the union of the member steps' footprints, so the DAG scheduler keeps
-// every edge the unfused steps had.
+// One instruction: a maximal fused run of micro-ops, executed in order.
 struct Instruction {
   std::vector<MicroOp> ops;
-  StepAccess access;
 };
 
 // A fully lowered ∆-script. The program owns a copy of the script; every

@@ -1,11 +1,7 @@
 #include "src/exec/vm.h"
 
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <deque>
-#include <functional>
-#include <mutex>
 #include <optional>
 #include <set>
 #include <unordered_map>
@@ -13,7 +9,6 @@
 
 #include "src/common/check.h"
 #include "src/common/str_util.h"
-#include "src/common/thread_pool.h"
 #include "src/core/aggregate_exec.h"
 #include "src/diff/apply.h"
 #include "src/obs/metrics.h"
@@ -93,15 +88,13 @@ std::vector<size_t> UnusedKeyPositions(const PlanOp& op) {
   return unused;
 }
 
-// Shared mutable state of one program execution.
+// Mutable state of one program execution.
 struct ExecState {
   const ExecEnv* env = nullptr;
   const CompiledProgram* p = nullptr;
   std::vector<Table*> tables;     // resolved once; null = table missing
   std::vector<Relation> regs;     // slot registers
   std::vector<char> written;      // slot has been published this epoch
-  std::mutex mutex;               // publication / snapshot lock (parallel)
-  bool parallel = false;
 
   Table* ResolveTable(int table_id) {
     Table* t = tables[table_id];
@@ -112,14 +105,20 @@ struct ExecState {
   }
 
   void Publish(int slot, Relation rel) {
-    if (parallel) {
-      std::lock_guard<std::mutex> lock(mutex);
-      regs[slot] = std::move(rel);
-      written[slot] = 1;
-    } else {
-      regs[slot] = std::move(rel);
-      written[slot] = 1;
+    regs[slot] = std::move(rel);
+    written[slot] = 1;
+  }
+
+  // An evaluator context over the published registers, as they stand now.
+  EvalContext SnapshotContext() const {
+    EvalContext ctx;
+    ctx.db = env->db;
+    ctx.pre_state = env->pre_state;
+    ctx.assist_unsafe_tables = env->assist_unsafe;
+    for (size_t i = 0; i < regs.size(); ++i) {
+      if (written[i] != 0) ctx.transient[p->slots[i].name] = &regs[i];
     }
+    return ctx;
   }
 };
 
@@ -614,8 +613,7 @@ Relation EvalOwnedOp(int idx, Frame& f) {
 
 // ---- γ bridge --------------------------------------------------------------
 
-// TransientAccess over the register file. γ instructions run exclusively
-// (their footprint conflicts with everything), so no locking is needed.
+// TransientAccess over the register file.
 class SlotTransientAccess : public TransientAccess {
  public:
   explicit SlotTransientAccess(ExecState* st) : st_(st) {}
@@ -637,15 +635,7 @@ class SlotTransientAccess : public TransientAccess {
 
   Relation EvaluateScoped(const PlanPtr& plan, const std::string& scratch_name,
                           const Relation& scratch) override {
-    EvalContext ctx;
-    ctx.db = st_->env->db;
-    ctx.pre_state = st_->env->pre_state;
-    ctx.assist_unsafe_tables = st_->env->assist_unsafe;
-    for (size_t i = 0; i < st_->regs.size(); ++i) {
-      if (st_->written[i] != 0) {
-        ctx.transient[st_->p->slots[i].name] = &st_->regs[i];
-      }
-    }
+    EvalContext ctx = st_->SnapshotContext();
     ctx.transient[scratch_name] = &scratch;
     return Evaluate(plan, ctx);
   }
@@ -795,23 +785,7 @@ Status RunInstruction(ExecState& st, const Instruction& inst) {
     EvalContext fctx;
     EvalContext* fctx_ptr = nullptr;
     if (op.kind == MicroOp::Kind::kCompute && op.has_fallback) {
-      fctx.db = env.db;
-      fctx.pre_state = env.pre_state;
-      fctx.assist_unsafe_tables = env.assist_unsafe;
-      if (st.parallel) {
-        std::lock_guard<std::mutex> lock(st.mutex);
-        for (size_t i = 0; i < st.regs.size(); ++i) {
-          if (st.written[i] != 0) {
-            fctx.transient[st.p->slots[i].name] = &st.regs[i];
-          }
-        }
-      } else {
-        for (size_t i = 0; i < st.regs.size(); ++i) {
-          if (st.written[i] != 0) {
-            fctx.transient[st.p->slots[i].name] = &st.regs[i];
-          }
-        }
-      }
+      fctx = st.SnapshotContext();
       fctx_ptr = &fctx;
     }
     StepRun& run = (*env.runs)[op.step];
@@ -857,64 +831,8 @@ Status Execute(const ExecEnv& env) {
     st.written[it->second] = 1;
   }
 
-  const size_t m = p.instructions.size();
-  if (env.threads <= 1 || m <= 1) {
-    for (size_t i = 0; i < m; ++i) {
-      IDIVM_RETURN_IF_ERROR(RunInstruction(st, p.instructions[i]));
-    }
-    return OkStatus();
-  }
-
-  // DAG scheduling over instructions, with the union footprint of each
-  // instruction's steps: every edge the unfused schedule had is kept, so
-  // producers always complete before consumers start.
-  st.parallel = true;
-  std::vector<std::vector<size_t>> succs(m);
-  std::vector<size_t> pending(m, 0);
-  for (size_t j = 0; j < m; ++j) {
-    for (size_t i = 0; i < j; ++i) {
-      if (StepsConflict(p.instructions[i].access, p.instructions[j].access)) {
-        succs[i].push_back(j);
-        ++pending[j];
-      }
-    }
-  }
-
-  std::mutex mutex;
-  std::condition_variable done_cv;
-  size_t completed = 0;
-  std::atomic<bool> failed{false};
-  std::vector<Status> statuses(m, OkStatus());
-  ThreadPool pool(env.threads);
-  std::function<void(size_t)> submit = [&](size_t i) {
-    pool.Submit([&, i] {
-      Status status = OkStatus();
-      if (!failed.load(std::memory_order_acquire)) {
-        status = RunInstruction(st, p.instructions[i]);
-        if (!status.ok()) failed.store(true, std::memory_order_release);
-      }
-      std::lock_guard<std::mutex> lock(mutex);
-      statuses[i] = std::move(status);
-      for (size_t succ : succs[i]) {
-        if (--pending[succ] == 0) submit(succ);
-      }
-      if (++completed == m) done_cv.notify_all();
-    });
-  };
-  {
-    std::lock_guard<std::mutex> lock(mutex);
-    for (size_t i = 0; i < m; ++i) {
-      if (pending[i] == 0) submit(i);
-    }
-  }
-  std::unique_lock<std::mutex> lock(mutex);
-  done_cv.wait(lock, [&] { return completed == m; });
-  lock.unlock();
-  // Instructions cover contiguous step ranges in script order, so the
-  // first failing instruction is the first failing step — the same error
-  // a sequential run reports.
-  for (size_t i = 0; i < m; ++i) {
-    IDIVM_RETURN_IF_ERROR(statuses[i]);
+  for (const Instruction& inst : p.instructions) {
+    IDIVM_RETURN_IF_ERROR(RunInstruction(st, inst));
   }
   return OkStatus();
 }

@@ -1,10 +1,9 @@
 // The register VM executing CompiledPrograms (program.h) — the only
 // ∆-script executor. Slot registers hold transient relations, instructions
-// run sequentially or over the rule conflict DAG (threads > 1), and every
+// run one after another in script order on the calling thread, and every
 // micro-op performs the full per-step bookkeeping — private StatsArena,
-// fault sites, trace windows, undo capture, op-budget check — so an epoch
-// is identical at every thread count in table contents, AccessStats, fault
-// behaviour and error messages.
+// fault sites, trace windows, undo capture, op-budget check — which the
+// maintainer's merge loop reads back per step.
 
 #ifndef IDIVM_EXEC_VM_H_
 #define IDIVM_EXEC_VM_H_
@@ -45,7 +44,6 @@ struct ExecEnv {
   // Cooperative refresh deadline, checked at the same sites as `fault`.
   robust::Deadline* deadline = nullptr;
   int64_t max_epoch_ops = 0;
-  int threads = 1;
   obs::TraceRecorder* trace = nullptr;
   const std::function<void(const std::string&, const DiffInstance&)>*
       apply_observer = nullptr;

@@ -3,9 +3,8 @@
 // ∆-script VM at every fault site (each ∆-script step entry and each
 // APPLY). An expired check returns kDeadlineExceeded, which fails the
 // epoch exactly like any other recoverable error: the epoch rolls back and
-// the degradation ladder takes over (retry single-threaded → recompute →
-// quarantine) — a stalled or overlong refresh degrades instead of hanging
-// the service.
+// the degradation ladder takes over (retry → recompute → quarantine) — a
+// stalled or overlong refresh degrades instead of hanging the service.
 //
 // The first expired check after each Arm increments
 // idivm_refresh_deadline_trips_total (one trip per armed deadline, however

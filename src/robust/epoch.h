@@ -13,12 +13,10 @@
 // produced, so size(), RollBack(), MoveEntriesTo() (the MVCC redo
 // hand-off) and TakeEntries() observe byte-identical per-tuple order.
 //
-// Ordering under parallel execution: APPLYs to one target are serialized
-// by the DAG scheduler and blocking γ steps run exclusively (barriers), so
-// entries for any single table are recorded in program order; concurrent
-// entries interleaved across *different* tables commute, making the single
-// reversed sequence a correct undo whatever the interleaving was — the
-// γ-barrier-aware ordering the epoch protocol relies on.
+// Ordering: an epoch runs its ∆-script steps one after another on one
+// thread, so entries are recorded in program order and the reversed
+// sequence is a correct undo. A parallel Refresh gives every view its own
+// epoch, so no two epochs share a log.
 //
 // Rollback itself is free in the cost model (it restores the pre-epoch
 // world, including AccessStats): it runs under a discarded StatsArena.

@@ -40,7 +40,7 @@ struct FaultPlan {
   int64_t max_fires = 1;
 };
 
-// Thread-safe; one instance is shared by every worker of an epoch. A
+// Thread-safe; one instance is shared by every view of a parallel refresh. A
 // default-constructed injector never fires but still counts sites, which
 // is how tests enumerate the fault surface of a script.
 class FaultInjector {

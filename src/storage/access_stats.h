@@ -25,12 +25,12 @@ struct AccessStats {
   // ---- Degradation-ladder accounting (src/robust) ----
   // Rung transitions of ViewManager's failure ladder, recorded here so
   // benches can price degradation alongside the paper's cost model. Rung
-  // *work* (a single-threaded retry, a recompute) is charged to the access
+  // *work* (a retry, a recompute) is charged to the access
   // counters above like any other work; these count the transitions
   // themselves and are excluded from TotalAccesses(). A failed epoch's
   // access charges are rolled back; its rollback counter is not.
   int64_t epoch_rollbacks = 0;      // epochs that failed and were undone
-  int64_t degraded_retries = 0;     // rung 1: single-threaded re-runs
+  int64_t degraded_retries = 0;     // rung 1: epoch re-runs
   int64_t recompute_fallbacks = 0;  // rung 2: view rematerializations
   int64_t quarantines = 0;          // rung 3: views taken out of service
 
@@ -47,15 +47,18 @@ struct AccessStats {
   std::string ToString() const;
 };
 
-// ---- Deferred charging (parallel ∆-script execution) ----------------------
+// ---- Deferred charging (per-view and per-step attribution) ---------------
 //
 // The cost model shares one AccessStats per database (plus one per table).
-// When script steps run concurrently, charging those shared counters
-// directly would be a data race and would make per-step cost attribution
-// order-dependent. A StatsArena redirects every charge on the installing
-// thread into private per-destination accumulators; the executor publishes
-// the arenas single-threaded, in script order, after the parallel region —
-// so the final counters are byte-identical to sequential execution.
+// When views refresh concurrently, charging those shared counters directly
+// would be a data race and would make per-view cost attribution
+// order-dependent; and a failed epoch must publish nothing. A StatsArena
+// redirects every charge on the installing thread into private
+// per-destination accumulators. The maintainer gives each ∆-script step
+// its own arena and publishes them in script order once the epoch commits;
+// a parallel Refresh gives each view an arena and publishes them in
+// definition order — so the final counters are byte-identical to a
+// sequential refresh.
 
 // Private accumulator keyed by the counter the charge was aimed at.
 class StatsArena {

@@ -39,5 +39,34 @@ TEST(AccessStatsTest, ResetAndToString) {
   EXPECT_NE(s.ToString().find("lookups=2"), std::string::npos);
 }
 
+// Sanity for the arena machinery itself: charges made under an arena reach
+// the destination exactly once, on Publish, and nested arenas compose.
+TEST(AccessStatsTest, StatsArenaPublishesExactlyOnce) {
+  AccessStats real;
+  StatsArena outer;
+  {
+    ScopedStatsArena outer_scope(&outer);
+    {
+      StatsArena inner;
+      {
+        ScopedStatsArena inner_scope(&inner);
+        ChargeSink(&real).tuple_reads += 3;
+        ChargeSink(&real).index_lookups += 2;
+      }
+      EXPECT_EQ(real.tuple_reads, 0);  // still deferred
+      inner.Publish();  // lands in `outer`, not in `real`
+    }
+    EXPECT_EQ(real.tuple_reads, 0);
+    EXPECT_EQ(outer.Sum(&real).tuple_reads, 3);
+    EXPECT_EQ(outer.Sum(&real).index_lookups, 2);
+  }
+  outer.Publish();
+  EXPECT_EQ(real.tuple_reads, 3);
+  EXPECT_EQ(real.index_lookups, 2);
+  EXPECT_EQ(real.tuple_writes, 0);
+  outer.Publish();  // cleared by the first publish: must be a no-op
+  EXPECT_EQ(real.tuple_reads, 3);
+}
+
 }  // namespace
 }  // namespace idivm

@@ -270,10 +270,10 @@ class LadderTest : public ::testing::Test {
   std::unique_ptr<ViewManager> vm_;
 };
 
-// With fire_at_site = 0 and sequential execution, max_fires selects the
-// deepest rung reached: 1 → the single-threaded retry succeeds, 2 → the
-// retry fails too and recompute lands it, 3 → recompute fails as well and
-// the view is quarantined.
+// With fire_at_site = 0 and a sequential refresh, max_fires selects the
+// deepest rung reached: 1 → the retry succeeds, 2 → the retry fails too
+// and recompute lands it, 3 → recompute fails as well and the view is
+// quarantined.
 TEST_F(LadderTest, RungOneRetryRecovers) {
   ApplyChanges();
   FaultPlan plan;

@@ -3,10 +3,10 @@
 // error messages, fault-site enumeration, rollback behaviour, ladder
 // outcomes and the MVCC redo hand-off — is pinned in the committed files
 // under tests/golden/exec_parity/, recorded from the per-step interpreter
-// the compiled VM (src/exec) replaced. The VM is checked against them at
-// every thread count, on every workload shape: the running example, the
-// script_io fuzz corpus view, and all eight BSMA views. Any divergence is a
-// compiler or VM bug, never an acceptable "optimization".
+// the compiled VM (src/exec) replaced. The VM is checked against them on
+// every workload shape: the running example, the script_io fuzz corpus
+// view, and all eight BSMA views. Any divergence is a compiler or VM bug,
+// never an acceptable "optimization".
 //
 // A golden file holds one test case: a sequence of blocks, each opened by
 // an "@@ <key>" line. On a mismatch the test prints the actual block in
@@ -217,7 +217,7 @@ struct EpochOutcome {
   }
 };
 
-EpochOutcome RunEpoch(const std::string& shape, int threads,
+EpochOutcome RunEpoch(const std::string& shape,
                       std::optional<uint64_t> fire_at_site = std::nullopt,
                       int64_t max_epoch_ops = 0) {
   Database db;
@@ -232,7 +232,6 @@ EpochOutcome RunEpoch(const std::string& shape, int threads,
   FaultInjector injector(fplan);
 
   MaintainOptions options;
-  options.threads = threads;
   options.fault = &injector;
   options.max_epoch_ops = max_epoch_ops;
 
@@ -253,17 +252,15 @@ EpochOutcome RunEpoch(const std::string& shape, int threads,
 
 class ExecParityShapeTest : public ::testing::TestWithParam<const char*> {};
 
-// Clean epochs at 1/2/4/8 script threads match the recorded outcome bit
-// for bit.
+// A clean epoch matches the recorded outcome bit for bit. The name
+// predates the removal of intra-view ∆-script threads; an epoch now has
+// one thread count.
 TEST_P(ExecParityShapeTest, CleanEpochMatchesAtEveryThreadCount) {
   const std::string shape = GetParam();
   Golden golden(StrCat("clean_", shape));
-  for (const int threads : {1, 2, 4, 8}) {
-    const EpochOutcome outcome = RunEpoch(shape, threads);
-    EXPECT_EQ(outcome.status, OkStatus().ToString());
-    golden.Expect("epoch", outcome.Render(),
-                  StrCat(shape, " threads=", threads));
-  }
+  const EpochOutcome outcome = RunEpoch(shape);
+  EXPECT_EQ(outcome.status, OkStatus().ToString());
+  golden.Expect("epoch", outcome.Render(), shape);
 }
 
 // The fault surface has the recorded size, and an injected fault at
@@ -272,12 +269,12 @@ TEST_P(ExecParityShapeTest, CleanEpochMatchesAtEveryThreadCount) {
 TEST_P(ExecParityShapeTest, EveryFaultSiteDivergesNowhere) {
   const std::string shape = GetParam();
   Golden golden(StrCat("fault_sites_", shape));
-  const EpochOutcome probe = RunEpoch(shape, /*threads=*/1);
+  const EpochOutcome probe = RunEpoch(shape);
   ASSERT_GT(probe.sites_visited, 0u) << shape;
   golden.Expect("sites", StrCat(probe.sites_visited, "\n"), shape);
   for (uint64_t site = 0; site < probe.sites_visited; ++site) {
     const std::string context = StrCat(shape, " site ", site);
-    const EpochOutcome outcome = RunEpoch(shape, /*threads=*/1, site);
+    const EpochOutcome outcome = RunEpoch(shape, site);
     EXPECT_NE(outcome.status, OkStatus().ToString()) << context;
     golden.Expect(StrCat("site ", site), outcome.RenderFailed(), context);
   }
@@ -292,7 +289,7 @@ TEST_P(ExecParityShapeTest, EveryFaultSiteDivergesNowhere) {
 TEST_P(ExecParityShapeTest, ApplyFlushFaultRollsBackBatchedUndo) {
   const std::string shape = GetParam();
   Golden golden(StrCat("apply_flush_", shape));
-  const EpochOutcome probe = RunEpoch(shape, /*threads=*/1);
+  const EpochOutcome probe = RunEpoch(shape);
   ASSERT_EQ(probe.status, OkStatus().ToString());
   // A clean epoch records whole-APPLY undo batches.
   ASSERT_GT(probe.counters.count("idivm_undo_batches_total"), 0u) << shape;
@@ -301,7 +298,7 @@ TEST_P(ExecParityShapeTest, ApplyFlushFaultRollsBackBatchedUndo) {
   int flush_sites = 0;
   int flush_sites_with_batches = 0;
   for (uint64_t site = 0; site < probe.sites_visited; ++site) {
-    const EpochOutcome outcome = RunEpoch(shape, /*threads=*/1, site);
+    const EpochOutcome outcome = RunEpoch(shape, site);
     if (outcome.status.find("apply-flush:") == std::string::npos) continue;
     ++flush_sites;
     golden.Expect(StrCat("site ", site), outcome.RenderFailed(),
@@ -328,7 +325,7 @@ TEST(ExecParityTest, CompiledAggEngagesKernel) {
   };
   const int64_t hits0 = counter("idivm_agg_kernel_hits_total");
   const int64_t misses0 = counter("idivm_agg_kernel_misses_total");
-  const EpochOutcome compiled = RunEpoch("agg", /*threads=*/1);
+  const EpochOutcome compiled = RunEpoch("agg");
   ASSERT_EQ(compiled.status, OkStatus().ToString());
   EXPECT_GT(counter("idivm_agg_kernel_hits_total"), hits0);
   EXPECT_EQ(counter("idivm_agg_kernel_misses_total"), misses0);
@@ -341,8 +338,7 @@ TEST_P(ExecParityShapeTest, OpBudgetTripsIdentically) {
   Golden golden(StrCat("op_budget_", shape));
   for (const int64_t budget : {1, 3}) {
     const std::string context = StrCat(shape, " budget=", budget);
-    const EpochOutcome outcome =
-        RunEpoch(shape, /*threads=*/1, std::nullopt, budget);
+    const EpochOutcome outcome = RunEpoch(shape, std::nullopt, budget);
     EXPECT_NE(outcome.status, OkStatus().ToString()) << context;
     golden.Expect(StrCat("budget ", budget), outcome.RenderFailed(), context);
   }
@@ -368,17 +364,15 @@ std::string RenderBsma(Database* db, const MaintainResult& result) {
                 result.ToString(), "\ntables:\n", TableFingerprints(db));
 }
 
-std::string RunBsma(const std::string& view, int threads) {
+std::string RunBsma(const std::string& view) {
   Database db;
   BsmaWorkload workload(&db, SmallConfig());
   Maintainer m(&db, CompileView("v", workload.ViewPlan(view), db));
   ModificationLogger logger(&db);
   workload.ApplyUserUpdates(&logger, 40);
 
-  MaintainOptions options;
-  options.threads = threads;
   MaintainResult result;
-  const Status status = m.TryMaintain(logger.NetChanges(), options, &result);
+  const Status status = m.TryMaintain(logger.NetChanges(), {}, &result);
   EXPECT_TRUE(status.ok()) << view << ": " << status.ToString();
   testing::ExpectViewMatchesRecompute(&db, m.view().plan, "v",
                                       view + " engine parity run");
@@ -392,10 +386,7 @@ class ExecParityBsmaTest : public ::testing::TestWithParam<std::string> {};
 TEST_P(ExecParityBsmaTest, CompiledMatchesInterpreter) {
   const std::string view = GetParam();
   Golden golden(StrCat("bsma_", view));
-  for (const int threads : {1, 2, 4, 8}) {
-    golden.Expect("epoch", RunBsma(view, threads),
-                  StrCat(view, " threads=", threads));
-  }
+  golden.Expect("epoch", RunBsma(view), view);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllViews, ExecParityBsmaTest,
@@ -540,7 +531,7 @@ TEST(ExecParityTest, ProgramCacheHitsAndInvalidation) {
 TEST(ExecParityTest, CompilationFusesSteps) {
   const int64_t fused0 = obs::MetricsRegistry::Global().CounterValue(
       "idivm_fused_steps_total");
-  const EpochOutcome compiled = RunEpoch("spj", /*threads=*/1);
+  const EpochOutcome compiled = RunEpoch("spj");
   ASSERT_EQ(compiled.status, OkStatus().ToString());
   EXPECT_GT(obs::MetricsRegistry::Global().CounterValue(
                 "idivm_fused_steps_total"),

@@ -8,7 +8,6 @@
 #include <cctype>
 #include <cstdint>
 #include <map>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -154,75 +153,61 @@ int64_t SumSpanAccesses(const std::vector<TraceSpan>& spans,
 
 // The acceptance check of docs/OBSERVABILITY.md: per-rule AccessStats
 // deltas captured in spans sum exactly to the database-wide counters the
-// epoch published, at every thread count, and spans nest (rules inside
-// their epoch, applies inside their rule). "Parallel" in the name opts the
-// 8-thread run into the TSan CI job.
-TEST(ObsTraceTest, ParallelSpanAttributionSumsExactly) {
-  for (const int threads : {1, 2, 4, 8}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    Database db;
-    DevicesPartsWorkload workload(&db, DevicesPartsConfig{});
-    Maintainer m(&db, CompileView("vp", workload.AggViewPlan(), db));
-    ModificationLogger logger(&db);
-    workload.ApplyPriceUpdates(&logger, 50);
-    db.stats().Reset();
+// epoch published, and spans nest (rules inside their epoch, applies
+// inside their rule, all on the epoch's thread).
+TEST(ObsTraceTest, SpanAttributionSumsExactly) {
+  Database db;
+  DevicesPartsWorkload workload(&db, DevicesPartsConfig{});
+  Maintainer m(&db, CompileView("vp", workload.AggViewPlan(), db));
+  ModificationLogger logger(&db);
+  workload.ApplyPriceUpdates(&logger, 50);
+  db.stats().Reset();
 
-    TraceRecorder recorder;
-    MaintainOptions options;
-    options.threads = threads;
-    options.trace = &recorder;
-    MaintainResult result;
-    const Status status = m.TryMaintain(logger.NetChanges(), options, &result);
-    ASSERT_TRUE(status.ok()) << status.ToString();
+  TraceRecorder recorder;
+  MaintainOptions options;
+  options.trace = &recorder;
+  MaintainResult result;
+  const Status status = m.TryMaintain(logger.NetChanges(), options, &result);
+  ASSERT_TRUE(status.ok()) << status.ToString();
 
-    const std::vector<TraceSpan> spans = recorder.Snapshot();
-    const int64_t global_delta = db.stats().TotalAccesses();
+  const std::vector<TraceSpan> spans = recorder.Snapshot();
+  const int64_t global_delta = db.stats().TotalAccesses();
 
-    // Exactly one epoch span, carrying the exact database-wide delta.
-    std::vector<TraceSpan> epochs;
-    for (const TraceSpan& span : spans) {
-      if (span.category == "epoch") epochs.push_back(span);
+  // Exactly one epoch span, carrying the exact database-wide delta.
+  std::vector<TraceSpan> epochs;
+  for (const TraceSpan& span : spans) {
+    if (span.category == "epoch") epochs.push_back(span);
+  }
+  ASSERT_EQ(epochs.size(), 1u);
+  EXPECT_EQ(epochs[0].accesses.TotalAccesses(), global_delta);
+  EXPECT_EQ(result.TotalAccesses().TotalAccesses() +
+                SumSpanAccesses(spans, "setup"),
+            global_delta);
+
+  // The rule spans partition the epoch's charges (setup holds the rest).
+  EXPECT_EQ(SumSpanAccesses(spans, "rule") + SumSpanAccesses(spans, "setup"),
+            global_delta);
+
+  // One rule span per ∆-script step; every rule nests inside the epoch's
+  // wall-clock window and on its thread, every apply inside a rule.
+  const TraceSpan& epoch = epochs[0];
+  for (const TraceSpan& span : spans) {
+    if (span.category == "rule" || span.category == "apply") {
+      EXPECT_GE(span.start_us, epoch.start_us) << span.name;
+      EXPECT_LE(span.start_us + span.dur_us, epoch.start_us + epoch.dur_us)
+          << span.name;
+      EXPECT_EQ(span.tid, epoch.tid) << span.name;
     }
-    ASSERT_EQ(epochs.size(), 1u);
-    EXPECT_EQ(epochs[0].accesses.TotalAccesses(), global_delta);
-    EXPECT_EQ(result.TotalAccesses().TotalAccesses() +
-                  SumSpanAccesses(spans, "setup"),
-              global_delta);
-
-    // The rule spans partition the epoch's charges (setup holds the rest).
-    EXPECT_EQ(SumSpanAccesses(spans, "rule") + SumSpanAccesses(spans, "setup"),
-              global_delta);
-
-    // One rule span per ∆-script step; every rule nests inside the epoch's
-    // wall-clock window, every apply inside a rule on its own thread.
-    const TraceSpan& epoch = epochs[0];
-    std::set<int> tids;
-    for (const TraceSpan& span : spans) {
-      if (span.category == "rule" || span.category == "apply") {
-        EXPECT_GE(span.start_us, epoch.start_us) << span.name;
-        EXPECT_LE(span.start_us + span.dur_us, epoch.start_us + epoch.dur_us)
-            << span.name;
-        tids.insert(span.tid);
-      }
-      if (span.category == "apply") {
-        bool nested = false;
-        for (const TraceSpan& rule : spans) {
-          if (rule.category == "rule" && rule.tid == span.tid &&
-              rule.start_us <= span.start_us &&
-              span.start_us + span.dur_us <= rule.start_us + rule.dur_us) {
-            nested = true;
-            break;
-          }
+    if (span.category == "apply") {
+      bool nested = false;
+      for (const TraceSpan& rule : spans) {
+        if (rule.category == "rule" && rule.start_us <= span.start_us &&
+            span.start_us + span.dur_us <= rule.start_us + rule.dur_us) {
+          nested = true;
+          break;
         }
-        EXPECT_TRUE(nested) << span.name << " not nested in any rule span";
       }
-    }
-    // Sequential runs stay on the calling thread; parallel runs use at most
-    // the pool's workers.
-    if (threads == 1) {
-      EXPECT_EQ(tids.size(), 1u);
-    } else {
-      EXPECT_LE(tids.size(), static_cast<size_t>(threads));
+      EXPECT_TRUE(nested) << span.name << " not nested in any rule span";
     }
   }
 }
@@ -438,9 +423,10 @@ TEST(ObsTraceTest, ChromeTraceJsonStaysSchemaValid) {
   ModificationLogger logger(&db);
   workload.ApplyPriceUpdates(&logger, 20);
 
+  // Named threads are exported as thread_name metadata events.
+  TraceRecorder::SetCurrentThreadName("main");
   TraceRecorder recorder;
   MaintainOptions options;
-  options.threads = 2;
   options.trace = &recorder;
   MaintainResult result;
   ASSERT_TRUE(m.TryMaintain(logger.NetChanges(), options, &result).ok());

@@ -1,21 +1,20 @@
-// Parallel ∆-script execution (MaintainOptions::threads > 1) must be
-// observationally identical to sequential execution: same view contents and
-// byte-identical AccessStats — per phase, database-wide, and per table —
-// for every thread count. These tests assert that across the BSMA views,
-// the running-example aggregate view, and repeated maintenance rounds
-// (stats must never go backwards or double-count).
+// Parallel refresh (RefreshOptions::threads > 1: one view per worker) must
+// be observationally identical to a sequential refresh: same view contents
+// and byte-identical AccessStats — per view and phase, and database-wide —
+// for every thread count. These tests assert that across the eight BSMA
+// views, the running-example views under mixed changes, and repeated
+// refresh rounds (stats must never go backwards or double-count). Each
+// view's ∆-script itself always runs sequentially; what runs concurrently
+// is whole views, whose charges go through per-view StatsArenas published
+// in definition order.
 
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "src/common/rng.h"
-#include "src/core/compose.h"
-#include "src/core/maintainer.h"
-#include "src/core/modification_log.h"
-#include "src/robust/fault_injection.h"
-#include "src/robust/status.h"
+#include "src/core/view_manager.h"
 #include "src/workload/bsma.h"
 #include "tests/test_util.h"
 
@@ -29,147 +28,149 @@ void ExpectStatsEq(const AccessStats& expected, const AccessStats& actual,
   EXPECT_EQ(expected.tuple_writes, actual.tuple_writes) << label;
 }
 
-// Everything observable about one maintenance run (except wall time).
-struct RunObservation {
-  std::string view_contents;
-  AccessStats diff_computation;
-  AccessStats cache_update;
-  AccessStats view_update;
+// Everything observable about one refresh (except wall time).
+struct RefreshObservation {
+  std::map<std::string, std::string> view_contents;
+  std::map<std::string, MaintainResult> results;
   AccessStats database_wide;
-  int64_t diff_tuples_applied = 0;
-  int64_t rows_touched = 0;
-  int64_t dummy_tuples = 0;
 };
 
-void ExpectObservationEq(const RunObservation& expected,
-                         const RunObservation& actual,
-                         const std::string& label) {
-  EXPECT_EQ(expected.view_contents, actual.view_contents) << label;
-  ExpectStatsEq(expected.diff_computation, actual.diff_computation,
-                label + " [diff computation]");
-  ExpectStatsEq(expected.cache_update, actual.cache_update,
-                label + " [cache update]");
-  ExpectStatsEq(expected.view_update, actual.view_update,
-                label + " [view update]");
-  ExpectStatsEq(expected.database_wide, actual.database_wide,
-                label + " [database-wide]");
-  EXPECT_EQ(expected.diff_tuples_applied, actual.diff_tuples_applied)
-      << label;
-  EXPECT_EQ(expected.rows_touched, actual.rows_touched) << label;
-  EXPECT_EQ(expected.dummy_tuples, actual.dummy_tuples) << label;
-}
-
-RunObservation Observe(Database* db, const std::string& view,
-                       const MaintainResult& result) {
-  RunObservation obs;
-  obs.view_contents =
-      db->GetTable(view).SnapshotUncounted().Sorted().ToString();
-  obs.diff_computation = result.diff_computation.accesses;
-  obs.cache_update = result.cache_update.accesses;
-  obs.view_update = result.view_update.accesses;
+RefreshObservation Observe(Database* db, ViewManager* manager,
+                           std::map<std::string, MaintainResult> results) {
+  RefreshObservation obs;
+  for (const std::string& view : manager->ViewNames()) {
+    obs.view_contents[view] =
+        db->GetTable(view).SnapshotUncounted().Sorted().ToString();
+  }
+  obs.results = std::move(results);
   obs.database_wide = db->stats();
-  obs.diff_tuples_applied = result.diff_tuples_applied;
-  obs.rows_touched = result.rows_touched;
-  obs.dummy_tuples = result.dummy_tuples;
   return obs;
 }
 
-// Every BSMA view, every thread count: identical contents and stats. The
-// config seed is fixed, so each fresh workload replays the exact same data
-// and update diffs.
+void ExpectObservationEq(const RefreshObservation& expected,
+                         const RefreshObservation& actual,
+                         const std::string& label) {
+  EXPECT_EQ(expected.view_contents, actual.view_contents) << label;
+  ASSERT_EQ(expected.results.size(), actual.results.size()) << label;
+  for (const auto& [view, want] : expected.results) {
+    const std::string view_label = label + " " + view;
+    ASSERT_EQ(actual.results.count(view), 1u) << view_label;
+    const MaintainResult& got = actual.results.at(view);
+    ExpectStatsEq(want.diff_computation.accesses,
+                  got.diff_computation.accesses,
+                  view_label + " [diff computation]");
+    ExpectStatsEq(want.cache_update.accesses, got.cache_update.accesses,
+                  view_label + " [cache update]");
+    ExpectStatsEq(want.view_update.accesses, got.view_update.accesses,
+                  view_label + " [view update]");
+    EXPECT_EQ(want.diff_tuples_applied, got.diff_tuples_applied)
+        << view_label;
+    EXPECT_EQ(want.rows_touched, got.rows_touched) << view_label;
+    EXPECT_EQ(want.dummy_tuples, got.dummy_tuples) << view_label;
+  }
+  ExpectStatsEq(expected.database_wide, actual.database_wide,
+                label + " [database-wide]");
+}
+
+// All eight BSMA views in one manager, refreshed at every thread count:
+// identical contents and stats. The config seed is fixed, so each fresh
+// workload replays the exact same data and update diffs.
 TEST(ParallelMaintainTest, BsmaViewsDeterministicAcrossThreadCounts) {
   BsmaConfig config;
   config.users = 400;  // small scale: 8 views × 4 thread counts
   const int64_t kUpdates = 40;
-  for (const std::string& view : BsmaWorkload::ViewNames()) {
-    RunObservation baseline;
-    for (const int threads : {1, 2, 4, 8}) {
-      Database db;
-      BsmaWorkload workload(&db, config);
-      Maintainer m(&db, CompileView(view, workload.ViewPlan(view), db));
-      ModificationLogger logger(&db);
-      workload.ApplyUserUpdates(&logger, kUpdates);
-      db.stats().Reset();
-      const MaintainResult result =
-          m.Maintain(logger.NetChanges(), MaintainOptions{.threads = threads});
-      const RunObservation obs = Observe(&db, view, result);
-      if (threads == 1) {
-        baseline = obs;
-        continue;
-      }
-      ExpectObservationEq(baseline, obs,
-                          view + " threads=" + std::to_string(threads));
-      testing::ExpectViewMatchesRecompute(&db, workload.ViewPlan(view), view,
-                                          view + " vs recompute");
+  RefreshObservation baseline;
+  for (const int threads : {1, 2, 4, 8}) {
+    const std::string label = "threads=" + std::to_string(threads);
+    Database db;
+    BsmaWorkload workload(&db, config);
+    ViewManager manager(&db);
+    for (const std::string& view : BsmaWorkload::ViewNames()) {
+      manager.DefineView(view, workload.ViewPlan(view));
     }
+    workload.ApplyUserUpdates(&manager.logger(), kUpdates);
+    db.stats().Reset();
+    const RefreshObservation obs =
+        Observe(&db, &manager,
+                manager.Refresh(RefreshOptions{.threads = threads}));
+    for (const std::string& view : BsmaWorkload::ViewNames()) {
+      testing::ExpectViewMatchesRecompute(&db, workload.ViewPlan(view), view,
+                                          label + " " + view);
+    }
+    if (threads == 1) {
+      baseline = obs;
+      continue;
+    }
+    ExpectObservationEq(baseline, obs, label);
   }
 }
 
-// The running-example aggregate view (γ step = blocking barrier) under a
-// mixed insert/delete/update batch.
+// The running-example aggregate view (a γ step) next to the SPJ view,
+// under a mixed insert/delete/update batch.
 TEST(ParallelMaintainTest, AggregateViewDeterministicUnderMixedChanges) {
-  auto run = [](int threads) -> RunObservation {
+  auto run = [](int threads) -> RefreshObservation {
+    const std::string label = "threads=" + std::to_string(threads);
     Database db;
     testing::LoadRunningExample(&db);
-    const PlanPtr plan = testing::RunningExampleAggPlan(db);
-    Maintainer m(&db, CompileView("vagg", plan, db));
-    ModificationLogger logger(&db);
+    const PlanPtr agg = testing::RunningExampleAggPlan(db);
+    const PlanPtr spj = testing::RunningExampleSpjPlan(db);
+    ViewManager manager(&db);
+    manager.DefineView("vagg", agg);
+    manager.DefineView("vspj", spj);
+    ModificationLogger& logger = manager.logger();
     EXPECT_TRUE(logger.Insert("parts", {Value("P4"), Value(35.0)}));
     EXPECT_TRUE(logger.Insert("devices", {Value("D4"), Value("phone")}));
     EXPECT_TRUE(logger.Insert("devices_parts", {Value("D4"), Value("P4")}));
     EXPECT_TRUE(logger.Insert("devices_parts", {Value("D2"), Value("P2")}));
-    EXPECT_TRUE(logger.Update("parts", {Value("P1")}, {"price"}, {Value(12.0)}));
+    EXPECT_TRUE(
+        logger.Update("parts", {Value("P1")}, {"price"}, {Value(12.0)}));
     EXPECT_TRUE(logger.Delete("devices_parts", {Value("D1"), Value("P2")}));
     db.stats().Reset();
-    const MaintainResult result =
-        m.Maintain(logger.NetChanges(), MaintainOptions{.threads = threads});
-    RunObservation obs = Observe(&db, "vagg", result);
-    testing::ExpectViewMatchesRecompute(
-        &db, plan, "vagg", "threads=" + std::to_string(threads));
+    RefreshObservation obs = Observe(
+        &db, &manager, manager.Refresh(RefreshOptions{.threads = threads}));
+    testing::ExpectViewMatchesRecompute(&db, agg, "vagg", label);
+    testing::ExpectViewMatchesRecompute(&db, spj, "vspj", label);
     return obs;
   };
-  const RunObservation baseline = run(1);
+  const RefreshObservation baseline = run(1);
   for (const int threads : {2, 4, 8}) {
     ExpectObservationEq(baseline, run(threads),
-                        "vagg threads=" + std::to_string(threads));
+                        "threads=" + std::to_string(threads));
   }
 }
 
-// Regression for the shared-counter race the arenas exist to prevent:
-// across repeated maintenance rounds the database-wide counters must be
-// monotonically non-decreasing (a racy read-modify-write can lose updates,
-// making totals go "backwards" relative to the work done) and must equal a
-// sequential twin's counters after every round (no double-counting when
-// arenas are published).
+// Regression for the shared-counter race the per-view arenas exist to
+// prevent: across repeated refresh rounds the database-wide counters must
+// be monotonically non-decreasing (a racy read-modify-write can lose
+// updates, making totals go "backwards" relative to the work done) and
+// must equal a sequential twin's counters after every round (no
+// double-counting when arenas are published).
 TEST(ParallelMaintainTest, StatsNeverRegressOrDoubleCountAcrossRounds) {
   BsmaConfig config;
   config.users = 300;
 
   Database par_db;
   BsmaWorkload par_workload(&par_db, config);
-  Maintainer par_m(
-      &par_db, CompileView("qs1", par_workload.ViewPlan("qs1"), par_db));
+  ViewManager par_manager(&par_db);
 
   Database seq_db;
   BsmaWorkload seq_workload(&seq_db, config);
-  Maintainer seq_m(
-      &seq_db, CompileView("qs1", seq_workload.ViewPlan("qs1"), seq_db));
+  ViewManager seq_manager(&seq_db);
+
+  for (const std::string& view : BsmaWorkload::ViewNames()) {
+    par_manager.DefineView(view, par_workload.ViewPlan(view));
+    seq_manager.DefineView(view, seq_workload.ViewPlan(view));
+  }
 
   par_db.stats().Reset();
   seq_db.stats().Reset();
   AccessStats previous;  // zero
   for (int round = 0; round < 5; ++round) {
     const std::string label = "round " + std::to_string(round);
-    {
-      ModificationLogger logger(&par_db);
-      par_workload.ApplyUserUpdates(&logger, 20);
-      par_m.Maintain(logger.NetChanges(), MaintainOptions{.threads = 4});
-    }
-    {
-      ModificationLogger logger(&seq_db);
-      seq_workload.ApplyUserUpdates(&logger, 20);
-      seq_m.Maintain(logger.NetChanges(), MaintainOptions{.threads = 1});
-    }
+    par_workload.ApplyUserUpdates(&par_manager.logger(), 20);
+    par_manager.Refresh(RefreshOptions{.threads = 4});
+    seq_workload.ApplyUserUpdates(&seq_manager.logger(), 20);
+    seq_manager.Refresh(RefreshOptions{.threads = 1});
     const AccessStats& current = par_db.stats();
     EXPECT_GE(current.index_lookups, previous.index_lookups) << label;
     EXPECT_GE(current.tuple_reads, previous.tuple_reads) << label;
@@ -178,124 +179,6 @@ TEST(ParallelMaintainTest, StatsNeverRegressOrDoubleCountAcrossRounds) {
     ExpectStatsEq(seq_db.stats(), current, label + " vs sequential twin");
     previous = current;
   }
-}
-
-// A fault injected into ONE worker of a parallel epoch must abort the
-// whole epoch: every table rolled back byte-identically, stats exactly
-// pre-epoch (failed epochs publish nothing), and a clean re-run at the
-// same thread count must match the sequential baseline exactly. Runs under
-// TSan in CI (the rollback path itself must be race-free).
-TEST(ParallelMaintainTest, MidEpochFaultRollsBackAtEveryThreadCount) {
-  BsmaConfig config;
-  config.users = 200;
-  const int64_t kUpdates = 25;
-
-  auto snapshot_all = [](Database* db) {
-    std::map<std::string, std::string> out;
-    for (const std::string& name : db->TableNames()) {
-      out[name] =
-          db->GetTable(name).SnapshotUncounted().Sorted().ToString();
-    }
-    return out;
-  };
-
-  RunObservation baseline;
-  for (const int threads : {1, 2, 4, 8}) {
-    const std::string label = "threads=" + std::to_string(threads);
-    Database db;
-    BsmaWorkload workload(&db, config);
-    Maintainer m(&db, CompileView("qs1", workload.ViewPlan("qs1"), db));
-    ModificationLogger logger(&db);
-    workload.ApplyUserUpdates(&logger, kUpdates);
-    const auto net = logger.NetChanges();
-    db.stats().Reset();
-
-    // Size the fault surface with a never-firing probe on a twin database,
-    // so the faulty run below can fail mid-script.
-    uint64_t total_sites = 0;
-    {
-      Database twin;
-      BsmaWorkload twin_workload(&twin, config);
-      Maintainer twin_m(
-          &twin, CompileView("qs1", twin_workload.ViewPlan("qs1"), twin));
-      ModificationLogger twin_logger(&twin);
-      twin_workload.ApplyUserUpdates(&twin_logger, kUpdates);
-      FaultInjector probe;
-      MaintainOptions options;
-      options.threads = threads;
-      options.fault = &probe;
-      MaintainResult result;
-      ASSERT_TRUE(
-          twin_m.TryMaintain(twin_logger.NetChanges(), options, &result)
-              .ok())
-          << label;
-      total_sites = probe.sites_visited();
-    }
-    ASSERT_GT(total_sites, 1u) << label;
-
-    const std::map<std::string, std::string> before = snapshot_all(&db);
-    const std::string stats_before = db.stats().ToString();
-
-    FaultPlan plan;
-    plan.fire_at_site = total_sites / 2;  // mid-epoch, whichever step owns it
-    FaultInjector injector(plan);
-    MaintainOptions options;
-    options.threads = threads;
-    options.fault = &injector;
-    MaintainResult result;
-    const Status status = m.TryMaintain(net, options, &result);
-    ASSERT_FALSE(status.ok()) << label;
-    EXPECT_EQ(status.code(), StatusCode::kInjectedFault) << label;
-
-    const std::map<std::string, std::string> after = snapshot_all(&db);
-    ASSERT_EQ(after.size(), before.size()) << label;
-    for (const auto& [name, contents] : before) {
-      EXPECT_EQ(after.at(name), contents) << label << ": table " << name;
-    }
-    EXPECT_EQ(db.stats().ToString(), stats_before) << label;
-
-    // The epoch was all-or-nothing: a clean re-run lands exactly on the
-    // sequential result.
-    const MaintainResult clean =
-        m.Maintain(net, MaintainOptions{.threads = threads});
-    const RunObservation obs = Observe(&db, "qs1", clean);
-    if (threads == 1) {
-      baseline = obs;
-    } else {
-      ExpectObservationEq(baseline, obs, label + " after rollback");
-    }
-    testing::ExpectViewMatchesRecompute(&db, workload.ViewPlan("qs1"),
-                                        "qs1", label);
-  }
-}
-
-// Sanity for the arena machinery itself: charges made under an arena reach
-// the destination exactly once, on Publish, and nested arenas compose.
-TEST(ParallelMaintainTest, StatsArenaPublishesExactlyOnce) {
-  AccessStats real;
-  StatsArena outer;
-  {
-    ScopedStatsArena outer_scope(&outer);
-    {
-      StatsArena inner;
-      {
-        ScopedStatsArena inner_scope(&inner);
-        ChargeSink(&real).tuple_reads += 3;
-        ChargeSink(&real).index_lookups += 2;
-      }
-      EXPECT_EQ(real.tuple_reads, 0);  // still deferred
-      inner.Publish();  // lands in `outer`, not in `real`
-    }
-    EXPECT_EQ(real.tuple_reads, 0);
-    EXPECT_EQ(outer.Sum(&real).tuple_reads, 3);
-    EXPECT_EQ(outer.Sum(&real).index_lookups, 2);
-  }
-  outer.Publish();
-  EXPECT_EQ(real.tuple_reads, 3);
-  EXPECT_EQ(real.index_lookups, 2);
-  EXPECT_EQ(real.tuple_writes, 0);
-  outer.Publish();  // cleared by the first publish: must be a no-op
-  EXPECT_EQ(real.tuple_reads, 3);
 }
 
 }  // namespace
