@@ -196,6 +196,70 @@ TEST_F(EvaluatorTest, EmptyDiffShortCircuits) {
   EXPECT_EQ(db_.stats().TotalAccesses(), 0);
 }
 
+TEST_F(EvaluatorTest, LeftDeepJoinChainReadsEachLeafRowOnceInLoopOrder) {
+  // t holds two rows per s row, so the chain fans out at its last level.
+  Table& t = db_.CreateTable("t", Schema({{"tid", DataType::kInt64},
+                                          {"tsid", DataType::kInt64}}),
+                             {"tid"});
+  Relation t_data(t.schema());
+  for (int64_t i = 0; i < 8; ++i) t_data.Append({Value(i), Value(i % 4)});
+  t.BulkLoadUncounted(t_data);
+
+  const PlanPtr p = PlanNode::Join(
+      PlanNode::Join(PlanNode::Scan("r"), PlanNode::Scan("s"),
+                     Eq(Col("k"), Col("sid"))),
+      PlanNode::Scan("t"), Eq(Col("sid"), Col("tsid")));
+  db_.stats().Reset();
+  const Relation out = Run(p);
+  // Stored inputs only: one read per leaf row, no index lookups.
+  EXPECT_EQ(db_.stats().index_lookups, 0);
+  EXPECT_EQ(db_.stats().tuple_reads, 12 + 4 + 8);
+
+  // Rows come out in nested-loop order over the leaves' slot order.
+  const Relation r_rows = db_.GetTable("r").SnapshotUncounted();
+  const Relation s_rows = db_.GetTable("s").SnapshotUncounted();
+  const Relation t_rows = t.SnapshotUncounted();
+  Relation expected(out.schema());
+  for (const Row& rrow : r_rows.rows()) {
+    for (const Row& srow : s_rows.rows()) {
+      if (rrow[1].Compare(srow[0]) != 0) continue;
+      for (const Row& trow : t_rows.rows()) {
+        if (srow[0].Compare(trow[1]) != 0) continue;
+        Row row = rrow;
+        row.insert(row.end(), srow.begin(), srow.end());
+        row.insert(row.end(), trow.begin(), trow.end());
+        expected.Append(std::move(row));
+      }
+    }
+  }
+  ASSERT_EQ(out.size(), 24u);
+  ASSERT_EQ(out.size(), expected.size());
+  for (size_t i = 0; i < out.size(); ++i) {
+    EXPECT_EQ(CompareRows(out.rows()[i], expected.rows()[i]), 0)
+        << "row " << i;
+  }
+}
+
+TEST_F(EvaluatorTest, EmptyLeftOfStoredEquiJoinStillReadsBuildSide) {
+  // The left side is empty because its transient diff is; its own probe
+  // into s charges nothing. The outer join's stored right side is read in
+  // full all the same: only a transient-only side short-circuits a join.
+  const Schema diff_schema({{"q", DataType::kInt64}});
+  Relation empty(diff_schema);
+  const PlanPtr left = PlanNode::Join(PlanNode::RelationRef("d", diff_schema),
+                                      PlanNode::Scan("s"),
+                                      Eq(Col("q"), Col("sid")));
+  const PlanPtr p =
+      PlanNode::Join(left, PlanNode::Scan("r"), Eq(Col("sid"), Col("k")));
+  EvalContext ctx;
+  ctx.db = &db_;
+  ctx.transient["d"] = &empty;
+  db_.stats().Reset();
+  EXPECT_TRUE(Evaluate(p, ctx).empty());
+  EXPECT_EQ(db_.stats().index_lookups, 0);
+  EXPECT_EQ(db_.stats().tuple_reads, 12);
+}
+
 TEST_F(EvaluatorTest, ProbeThroughJoinChain) {
   // Probing Join(r', s) on r-columns chains index lookups (the multi-join
   // diff-driven plan of Fig. 12b).

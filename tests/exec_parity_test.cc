@@ -8,17 +8,11 @@
 // view, and all eight BSMA views. Any divergence is a compiler or VM bug,
 // never an acceptable "optimization".
 //
-// A golden file holds one test case: a sequence of blocks, each opened by
-// an "@@ <key>" line. On a mismatch the test prints the actual block in
-// file format, so a deliberate behaviour change is made by editing the
-// file and reviewing that edit — there is no regeneration switch.
+// A golden file holds one test case (format: tests/golden_file.h).
 
 #include <cstdint>
-#include <cstdio>
-#include <fstream>
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -33,79 +27,21 @@
 #include "src/robust/fault_injection.h"
 #include "src/robust/status.h"
 #include "src/workload/bsma.h"
+#include "tests/golden_file.h"
 #include "tests/test_util.h"
 
 namespace idivm {
 namespace {
 
-// ---- Golden files -------------------------------------------------------
+using testing::Fnv64;
+using testing::Hex;
 
-// One golden file, loaded whole. Every recorded block must be checked at
-// least once and every checked block must be recorded, so a case cannot
-// silently grow or lose coverage.
-class Golden {
+// A golden file of this suite, tests/golden/exec_parity/<name>.golden.
+class Golden : public testing::Golden {
  public:
   explicit Golden(const std::string& name)
-      : path_(StrCat(IDIVM_GOLDEN_DIR, "/exec_parity/", name, ".golden")) {
-    std::ifstream in(path_);
-    if (!in) {
-      ADD_FAILURE() << "missing golden file " << path_;
-      return;
-    }
-    std::string line;
-    std::string* block = nullptr;
-    while (std::getline(in, line)) {
-      if (line.rfind("@@ ", 0) == 0) {
-        block = &blocks_[line.substr(3)];
-      } else if (block != nullptr) {
-        *block += line + "\n";
-      }
-    }
-  }
-
-  Golden(const Golden&) = delete;
-  Golden& operator=(const Golden&) = delete;
-
-  ~Golden() {
-    for (const auto& [key, text] : blocks_) {
-      EXPECT_TRUE(checked_.count(key) > 0)
-          << path_ << ": recorded block \"" << key << "\" was never produced";
-    }
-  }
-
-  // Expects `actual` to be the block recorded under `key`.
-  void Expect(const std::string& key, const std::string& actual,
-              const std::string& context) {
-    checked_.insert(key);
-    const auto it = blocks_.find(key);
-    if (it != blocks_.end() && it->second == actual) return;
-    ADD_FAILURE() << path_ << " (" << context << "): "
-                  << (it == blocks_.end() ? "no recorded block" : "mismatch")
-                  << "; actual block in file format:\n@@ " << key << "\n"
-                  << actual;
-  }
-
- private:
-  std::string path_;
-  std::map<std::string, std::string> blocks_;
-  std::set<std::string> checked_;
+      : testing::Golden(StrCat("exec_parity/", name, ".golden")) {}
 };
-
-uint64_t Fnv64(const std::string& bytes) {
-  uint64_t hash = 14695981039346656037ull;
-  for (const unsigned char c : bytes) {
-    hash ^= c;
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
-
-std::string Hex(uint64_t value) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(value));
-  return buf;
-}
 
 std::string JoinSnapshots(Database* db) {
   std::string out;
