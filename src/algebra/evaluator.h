@@ -8,15 +8,25 @@
 // selections/renamings), it runs an index nested-loop probing the stored
 // side, charging exactly the paper's accesses. Probes with the same key are
 // charged once ("retrieved once and reused" — Section 6.1's a<1 case).
-// Everything else falls back to hash/nested-loop joins over materialized
-// inputs, whose Scan leaves charge one read per stored tuple.
+// Everything else falls back to hash/nested-loop joins, whose Scan leaves
+// charge one read per stored tuple.
+//
+// Evaluation is a push-based pipeline: each operator pushes its rows into
+// its consumer, and only pipeline breakers materialize — a hash join's
+// build side (its right input), a nested loop's inner side, a semijoin's
+// build side, a transient-only side (an empty diff short-circuits the
+// operator before any stored side is read; the diff-driven probe paths loop
+// over it), an aggregate's group table, and the final result. A left-deep
+// join chain therefore streams its left spine through every level's probe
+// and never stores an intermediate join result. Rows come out in the order
+// a level-at-a-time evaluation would produce them, and accesses are the
+// same: only where the charges fall in time differs.
 
 #ifndef IDIVM_ALGEBRA_EVALUATOR_H_
 #define IDIVM_ALGEBRA_EVALUATOR_H_
 
+#include <functional>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -28,7 +38,8 @@
 namespace idivm {
 
 // A materialized relation with on-demand hash indexes that charges the same
-// costs as a stored Table. Used for reconstructed pre-state tables.
+// costs as a stored Table. Used for reconstructed pre-state tables, which
+// are local to one maintenance epoch and read by that epoch's one thread.
 class IndexedRelation {
  public:
   IndexedRelation(Relation data, AccessStats* stats);
@@ -39,6 +50,10 @@ class IndexedRelation {
   // Full scan; charges one tuple read per row.
   Relation ScanCounted() const;
 
+  // Full scan streamed to `fn` without copying; charges one tuple read per
+  // row.
+  void ForEachRow(const std::function<void(const Row&)>& fn) const;
+
   // Rows whose `columns` equal `key`; charges 1 index lookup + 1 read per
   // returned row.
   std::vector<Row> Probe(const std::vector<size_t>& columns,
@@ -48,16 +63,12 @@ class IndexedRelation {
 
  private:
   using LazyIndex = std::unordered_map<size_t, std::vector<size_t>>;
-  // Finds or builds the index on `columns`. The build is serialized so
-  // concurrent script steps can probe the same pre-state relation; a built
-  // index is immutable (the relation never changes), so probing it after
-  // the lookup needs no lock.
+  // Finds or builds the index on `columns`; a built index is kept for the
+  // relation's lifetime (the relation never changes).
   const LazyIndex& GetOrBuildIndex(const std::vector<size_t>& columns) const;
 
   Relation data_;
   AccessStats* stats_;
-  // unique_ptr keeps IndexedRelation movable despite the mutex.
-  std::unique_ptr<std::mutex> index_mutex_ = std::make_unique<std::mutex>();
   mutable std::map<std::vector<size_t>, LazyIndex> indexes_;
 };
 
