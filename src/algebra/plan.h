@@ -54,11 +54,13 @@ enum class AggFunc { kSum, kCount, kAvg, kMin, kMax };
 
 const char* AggFuncName(AggFunc func);
 
+// One output column of a generalized projection: `name` := `expr`.
 struct ProjectItem {
   ExprPtr expr;
   std::string name;
 };
 
+// One aggregate of a γ node: `name` := `func`(`arg`).
 struct AggSpec {
   AggFunc func = AggFunc::kSum;
   // Aggregated expression; null for COUNT(*) (row count).
@@ -69,6 +71,8 @@ struct AggSpec {
 class PlanNode;
 using PlanPtr = std::shared_ptr<const PlanNode>;
 
+// One immutable plan operator. Built only through the static factories
+// below; the accessors of a kind's fields are grouped under that kind.
 class PlanNode {
  public:
   PlanKind kind() const { return kind_; }

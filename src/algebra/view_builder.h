@@ -35,6 +35,8 @@ AggSpec Avg(ExprPtr arg, std::string name);
 AggSpec Min(ExprPtr arg, std::string name);
 AggSpec Max(ExprPtr arg, std::string name);
 
+// Builds one plan bottom-up: From starts it, each further call wraps the
+// plan built so far, and Build returns it.
 class ViewBuilder {
  public:
   explicit ViewBuilder(const Database& db);

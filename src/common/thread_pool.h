@@ -1,6 +1,7 @@
-// A small fixed-size thread pool for the parallel ∆-script executor. No
-// work stealing, no priorities: callers submit closures, workers drain the
-// shared queue in FIFO order. The destructor finishes every queued task
+// A small fixed-size thread pool for parallel view refresh
+// (ViewManager::Refresh runs one view's epoch per task). No work stealing,
+// no priorities: callers submit closures, workers drain the shared queue in
+// FIFO order. The destructor finishes every queued task
 // before joining, so a scoped pool doubles as a join barrier.
 
 #ifndef IDIVM_COMMON_THREAD_POOL_H_

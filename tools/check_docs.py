@@ -11,10 +11,11 @@ Three checks, all against working-tree files only (no network):
    are skipped; in-page "#anchor" links are checked against the current
    file's own headings.
 
-2. Public observability, execution and serving headers. Every header
-   under src/obs/, src/exec/ and src/serve/ must open with a file-top
-   comment block and carry a comment directly above each namespace-scope
-   class/struct definition — these headers are the documented surface of
+2. Public algebra, observability, execution and serving headers. Every
+   header under src/algebra/, src/obs/, src/exec/ and src/serve/ must
+   open with a file-top comment block and carry a comment directly above
+   each namespace-scope class/struct definition — these headers are the
+   documented surface of DESIGN.md "Plan evaluation", of
    docs/OBSERVABILITY.md, of DESIGN.md "Compiled execution" and of
    DESIGN.md "Service model & housekeeping", so an undocumented type is
    a contract gap, not a style nit.
@@ -118,10 +119,15 @@ def check_links():
 DECL_RE = re.compile(r"^(?:class|struct)\s+(\w+)\s*(?::[^;]*)?\{")
 
 
-def check_obs_headers():
+# Directories whose headers must document every top-level type.
+DOCUMENTED_HEADER_DIRS = ("src/algebra/", "src/obs/", "src/exec/",
+                          "src/serve/")
+
+
+def check_header_docs():
     errors = []
     for header in tracked_files(".h"):
-        if not header.startswith(("src/obs/", "src/exec/", "src/serve/")):
+        if not header.startswith(DOCUMENTED_HEADER_DIRS):
             continue
         with open(os.path.join(REPO, header), encoding="utf-8") as f:
             lines = f.read().splitlines()
@@ -160,7 +166,7 @@ def check_architecture_map():
 
 
 def main():
-    errors = (check_links() + check_obs_headers() +
+    errors = (check_links() + check_header_docs() +
               check_architecture_map())
     for error in errors:
         print(error, file=sys.stderr)
