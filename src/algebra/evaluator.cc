@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <optional>
+#include <type_traits>
 
 #include "src/common/check.h"
 #include "src/common/str_util.h"
@@ -89,7 +90,96 @@ Row ConcatRows(const Row& a, const Row& b) {
   return out;
 }
 
+struct RowLess {
+  bool operator()(const Row& a, const Row& b) const {
+    return CompareRows(a, b) < 0;
+  }
+};
+
+bool SameColumnNames(const Schema& a, const Schema& b) {
+  if (a.num_columns() != b.num_columns()) return false;
+  for (size_t i = 0; i < a.num_columns(); ++i) {
+    if (a.column(i).name != b.column(i).name) return false;
+  }
+  return true;
+}
+
 }  // namespace
+
+// ---- Prepared plans --------------------------------------------------------
+
+struct PreparedPlan::Node {
+  // How a join or (anti)semijoin runs.
+  enum class Strategy {
+    kNone,            // not a binary operator
+    kProbeFromLeft,   // the transient left input drives probes of the right
+    kProbeFromRight,  // the transient right input drives probes of the left
+    kHash,            // hash table over the materialized right input
+    kNestedLoop,      // no equi conjunct: loop over the materialized right
+  };
+
+  // One node of a keyed-probe path (see "Probe paths" below).
+  struct Probe {
+    PlanKind kind = PlanKind::kScan;
+    // kScan: the scanned table; kCoalesceProbe: the base table it avoids.
+    std::string table;
+    bool pre_state = false;         // kScan
+    std::vector<size_t> key_cols;   // kScan: probe columns in the table
+    std::optional<BoundExpr> pred;  // kSelect
+    std::vector<BoundExpr> exprs;   // kProject
+    // kCoalesceProbe: the probe key misses a primary-key column of the base
+    // table, so the view copy may hold several base rows per key.
+    bool key_misses_pk = false;
+    bool first_is_left = false;         // kJoin
+    std::vector<size_t> link_cols;      // kJoin: equi columns, first side
+    std::optional<BoundExpr> residual;  // kJoin: over left ++ right
+    // kSelect / kProject: the child; kJoin: the side probed with the key;
+    // kCoalesceProbe: the primary path.
+    std::unique_ptr<const Probe> first;
+    // kJoin: the side probed per first-side row; kCoalesceProbe: the
+    // fallback path.
+    std::unique_ptr<const Probe> second;
+  };
+
+  PlanPtr plan;
+  // Run's result schema: InferSchema's, except that a RelationRef has the
+  // schema of the relation bound to it and row-preserving operators (σ,
+  // materialize, coalesce-probe) pass their input's through.
+  Schema schema;
+  Schema inferred;              // InferSchema's
+  bool transient_only = false;  // IsTransientOnly
+  std::vector<std::unique_ptr<Node>> children;
+
+  std::optional<BoundExpr> pred;  // kSelect; nested-loop (semi)join predicate
+  std::vector<BoundExpr> exprs;   // kProject
+
+  // Joins and (anti)semijoins.
+  Strategy strategy = Strategy::kNone;
+  std::vector<size_t> lk_all;  // equi-key positions in the left input
+  std::vector<size_t> rk_all;  // the matching positions in the right input
+  bool has_residual = false;   // conjuncts beyond the equi pairs
+  std::optional<BoundExpr> residual;  // over left ++ right
+  // Probe strategies: the probed key positions in the driving input, the
+  // equi pairs left to check on fetched rows, and the stored input's path.
+  std::vector<size_t> drive_key;
+  std::vector<size_t> unprobed;
+  std::unique_ptr<const Probe> probe;
+  // A semijoin probed from the right on part of its key may fetch a left
+  // row for several keys: emitted rows are deduplicated.
+  bool dedup = false;
+
+  int slot = -1;  // kRelationRef: EvalContext::slots index, or -1 (by name)
+
+  // kAggregate: group-key positions and arguments (nullopt: COUNT(*)).
+  std::vector<size_t> group_cols;
+  std::vector<std::optional<BoundExpr>> args;
+};
+
+namespace {
+
+using Node = PreparedPlan::Node;
+using Probe = PreparedPlan::Node::Probe;
+using Strategy = PreparedPlan::Node::Strategy;
 
 // ---- Probe paths -----------------------------------------------------------
 //
@@ -99,10 +189,16 @@ Row ConcatRows(const Row& a, const Row& b) {
 // probe into Join(A, B) on columns of A probes A, then probes B per result
 // row through the join's equi condition — exactly the chained diff-driven
 // index-nested-loop plan the Section 6 analysis assumes over R1, ..., Rn.
-//
-// PlanJoinProbe / CheckProbeable / FindProbeableKeySubset are declared in
-// the header: the src/exec compiler replays these exact decisions at
-// compile time (they depend only on plan structure and stored schemas).
+
+// How a join decomposes for probing from `columns` (all from one side):
+// which side is probed first, the equi keys linking to the other side, and
+// the residual predicate.
+struct JoinProbePlan {
+  size_t first = 0;  // child index probed with the incoming key
+  std::vector<std::string> first_link_cols;   // equi cols on `first` side
+  std::vector<std::string> second_link_cols;  // matching cols on other side
+  ExprPtr residual;
+};
 
 bool PlanJoinProbe(const PlanNode& join, const Schema& left_schema,
                    const Schema& right_schema,
@@ -122,121 +218,278 @@ bool PlanJoinProbe(const PlanNode& join, const Schema& left_schema,
       ExtractEquiPairs(join.predicate(), left_cols, right_cols, &equi);
   if (equi.empty()) return false;
   out->first = all_left ? 0 : 1;
-  out->first_link_cols.clear();
-  out->second_link_cols.clear();
   for (const auto& [l, r] : equi) {
-    if (all_left) {
-      out->first_link_cols.push_back(l);
-      out->second_link_cols.push_back(r);
-    } else {
-      out->first_link_cols.push_back(r);
-      out->second_link_cols.push_back(l);
-    }
+    out->first_link_cols.push_back(all_left ? l : r);
+    out->second_link_cols.push_back(all_left ? r : l);
   }
   out->residual = ConjoinAll(residual_conjuncts);
   return true;
 }
 
-bool CheckProbeable(const PlanPtr& plan,
-                    const std::vector<std::string>& columns,
-                    const Database& db) {
-  switch (plan->kind()) {
+// The keyed-probe path through `node` on `columns`, or null when `node` is
+// not probeable on them.
+std::unique_ptr<const Probe> PrepareProbe(
+    const Node& node, const std::vector<std::string>& columns,
+    const Database& db) {
+  const PlanNode& plan = *node.plan;
+  auto probe = std::make_unique<Probe>();
+  probe->kind = plan.kind();
+  switch (plan.kind()) {
     case PlanKind::kScan:
-      return true;  // hash index on demand
+      // Hash index on demand; a pre-state copy has the table's schema.
+      probe->table = plan.table_name();
+      probe->pre_state = plan.state() == StateTag::kPre;
+      probe->key_cols = node.inferred.ColumnIndices(columns);
+      return probe;
     case PlanKind::kSelect:
-      return CheckProbeable(plan->child(0), columns, db);
+      probe->first = PrepareProbe(*node.children[0], columns, db);
+      if (probe->first == nullptr) return nullptr;
+      probe->pred.emplace(plan.predicate(), node.children[0]->inferred);
+      return probe;
     case PlanKind::kProject: {
+      // Rename the probe columns through the first matching item, then
+      // project every fetched row through all items.
       std::vector<std::string> inner;
       inner.reserve(columns.size());
       for (const std::string& name : columns) {
         const ProjectItem* found = nullptr;
-        for (const ProjectItem& item : plan->project_items()) {
+        for (const ProjectItem& item : plan.project_items()) {
           if (item.name == name) {
             found = &item;
             break;
           }
         }
         if (found == nullptr || found->expr->kind() != ExprKind::kColumn) {
-          return false;  // probe column is computed, not a rename
+          return nullptr;  // probe column is computed, not a rename
         }
         inner.push_back(found->expr->column_name());
       }
-      return CheckProbeable(plan->child(0), inner, db);
+      probe->first = PrepareProbe(*node.children[0], inner, db);
+      if (probe->first == nullptr) return nullptr;
+      for (const ProjectItem& item : plan.project_items()) {
+        probe->exprs.emplace_back(item.expr, node.children[0]->inferred);
+      }
+      return probe;
     }
     case PlanKind::kJoin: {
-      JoinProbePlan probe;
-      const Schema left_schema = InferSchema(plan->child(0), db);
-      const Schema right_schema = InferSchema(plan->child(1), db);
-      if (!PlanJoinProbe(*plan, left_schema, right_schema, columns, &probe)) {
-        return false;
+      JoinProbePlan jp;
+      if (!PlanJoinProbe(plan, node.children[0]->inferred,
+                         node.children[1]->inferred, columns, &jp)) {
+        return nullptr;
       }
-      return CheckProbeable(plan->child(probe.first), columns, db) &&
-             CheckProbeable(plan->child(1 - probe.first),
-                            probe.second_link_cols, db);
+      const Node& first = *node.children[jp.first];
+      probe->first = PrepareProbe(first, columns, db);
+      probe->second = PrepareProbe(*node.children[1 - jp.first],
+                                   jp.second_link_cols, db);
+      if (probe->first == nullptr || probe->second == nullptr) return nullptr;
+      probe->first_is_left = jp.first == 0;
+      probe->link_cols = first.inferred.ColumnIndices(jp.first_link_cols);
+      probe->residual.emplace(jp.residual, node.inferred);
+      return probe;
     }
     case PlanKind::kCoalesceProbe:
-      return CheckProbeable(plan->child(0), columns, db) &&
-             CheckProbeable(plan->child(1), columns, db);
-    default:
-      return false;
-  }
-}
-
-namespace {
-
-// Keyed lookup through a probeable subtree. Returns matching rows in the
-// subtree's output schema. Only the Scan leaf charges accesses.
-std::vector<Row> DoProbe(const PlanPtr& plan,
-                         const std::vector<std::string>& columns,
-                         const Row& key, EvalContext& ctx, const Database& db) {
-  switch (plan->kind()) {
-    case PlanKind::kScan: {
-      if (plan->state() == StateTag::kPre && ctx.pre_state != nullptr) {
-        const auto it = ctx.pre_state->find(plan->table_name());
-        if (it != ctx.pre_state->end()) {
-          return it->second.Probe(it->second.schema().ColumnIndices(columns),
-                                  key);
-        }
-      }
-      Table& table = ctx.db->GetTable(plan->table_name());
-      return table.LookupWhereEquals(table.schema().ColumnIndices(columns),
-                                     key);
-    }
-    case PlanKind::kSelect: {
-      std::vector<Row> rows = DoProbe(plan->child(0), columns, key, ctx, db);
-      const Schema schema = InferSchema(plan->child(0), db);
-      const BoundExpr predicate(plan->predicate(), schema);
-      std::vector<Row> out;
-      out.reserve(rows.size());
-      for (Row& row : rows) {
-        if (predicate.Holds(row)) out.push_back(std::move(row));
-      }
-      return out;
-    }
-    case PlanKind::kProject: {
-      std::vector<std::string> inner;
-      inner.reserve(columns.size());
-      for (const std::string& name : columns) {
-        for (const ProjectItem& item : plan->project_items()) {
-          if (item.name == name) {
-            inner.push_back(item.expr->column_name());
+      probe->first = PrepareProbe(*node.children[0], columns, db);
+      probe->second = PrepareProbe(*node.children[1], columns, db);
+      if (probe->first == nullptr || probe->second == nullptr) return nullptr;
+      probe->table = plan.table_name();
+      // The FD argument requires the probe key to cover the base table's
+      // primary key (at most one base row per probe key).
+      if (db.HasTable(probe->table)) {
+        for (const std::string& key_col :
+             db.GetTable(probe->table).key_columns()) {
+          if (std::find(columns.begin(), columns.end(), key_col) ==
+              columns.end()) {
+            probe->key_misses_pk = true;
             break;
           }
         }
       }
-      std::vector<Row> rows = DoProbe(plan->child(0), inner, key, ctx, db);
-      const Schema child_schema = InferSchema(plan->child(0), db);
-      std::vector<BoundExpr> exprs;
-      exprs.reserve(plan->project_items().size());
-      for (const ProjectItem& item : plan->project_items()) {
-        exprs.emplace_back(item.expr, child_schema);
+      return probe;
+    default:
+      return nullptr;
+  }
+}
+
+// A multi-component key may span several base relations of a subview;
+// probing on one component and filtering the rest reproduces the DBMS's
+// index choice. Prepares the probe path of `target` on the largest subset
+// of the equi-key positions it can serve (fewest residual checks) and
+// stores the subset in `subset`; false when no non-empty subset works.
+bool PrepareKeyedProbe(const Node& target,
+                       const std::vector<std::string>& target_cols,
+                       const Database& db, std::vector<size_t>* subset,
+                       std::unique_ptr<const Probe>* probe) {
+  const size_t n = target_cols.size();
+  if (n == 0 || n > 10) return false;
+  // Try the full set first (common case), then subsets by decreasing size.
+  std::vector<std::vector<size_t>> candidates;
+  for (uint32_t mask = 1; mask < (1u << n); ++mask) {
+    std::vector<size_t> candidate;
+    for (size_t i = 0; i < n; ++i) {
+      if (mask & (1u << i)) candidate.push_back(i);
+    }
+    candidates.push_back(std::move(candidate));
+  }
+  std::sort(candidates.begin(), candidates.end(),
+            [](const auto& a, const auto& b) { return a.size() > b.size(); });
+  for (std::vector<size_t>& candidate : candidates) {
+    std::vector<std::string> cols;
+    for (size_t i : candidate) cols.push_back(target_cols[i]);
+    *probe = PrepareProbe(target, cols, db);
+    if (*probe != nullptr) {
+      *subset = std::move(candidate);
+      return true;
+    }
+  }
+  return false;
+}
+
+// Splits a join's or (anti)semijoin's predicate into equi pairs and a
+// residual, and picks the strategy: a transient input driving keyed probes
+// of the stored one (for joins either input, left first; for semijoins the
+// left, or the right of a plain semijoin), else a hash or nested loop.
+void PrepareBinary(Node* n, const Database& db) {
+  const PlanNode& plan = *n->plan;
+  const Node& left = *n->children[0];
+  const Node& right = *n->children[1];
+  std::vector<std::pair<std::string, std::string>> equi;
+  const std::vector<ExprPtr> residual_conjuncts =
+      ExtractEquiPairs(plan.predicate(), left.inferred.ColumnNameSet(),
+                       right.inferred.ColumnNameSet(), &equi);
+  std::vector<std::string> left_keys;
+  std::vector<std::string> right_keys;
+  for (const auto& [l, r] : equi) {
+    left_keys.push_back(l);
+    right_keys.push_back(r);
+  }
+  n->lk_all = left.inferred.ColumnIndices(left_keys);
+  n->rk_all = right.inferred.ColumnIndices(right_keys);
+  n->has_residual = !residual_conjuncts.empty();
+  const Schema combined = left.inferred.Extend(right.inferred.columns());
+  n->residual.emplace(ConjoinAll(residual_conjuncts), combined);
+  if (equi.empty()) {
+    n->strategy = Strategy::kNestedLoop;
+    n->pred.emplace(plan.predicate(), combined);
+    return;
+  }
+  const bool is_join = plan.kind() == PlanKind::kJoin;
+  for (const bool from_left : {true, false}) {
+    if (!from_left && plan.kind() == PlanKind::kAntiSemiJoin) break;
+    if (!(from_left ? left : right).transient_only) continue;
+    std::vector<size_t> subset;
+    if (!PrepareKeyedProbe(from_left ? right : left,
+                           from_left ? right_keys : left_keys, db, &subset,
+                           &n->probe)) {
+      continue;
+    }
+    n->strategy = from_left ? Strategy::kProbeFromLeft
+                            : Strategy::kProbeFromRight;
+    for (size_t i : subset) {
+      n->drive_key.push_back(from_left ? n->lk_all[i] : n->rk_all[i]);
+    }
+    for (size_t i = 0; i < equi.size(); ++i) {
+      if (std::find(subset.begin(), subset.end(), i) == subset.end()) {
+        n->unprobed.push_back(i);
       }
+    }
+    n->dedup = !is_join && !from_left && subset.size() < equi.size();
+    return;
+  }
+  n->strategy = Strategy::kHash;
+}
+
+std::unique_ptr<Node> PrepareNode(const PlanPtr& plan, const Database& db,
+                                  const RefResolver& resolve_ref) {
+  auto n = std::make_unique<Node>();
+  n->plan = plan;
+  std::vector<Schema> child_schemas;
+  for (const PlanPtr& child : plan->children()) {
+    n->children.push_back(PrepareNode(child, db, resolve_ref));
+    child_schemas.push_back(n->children.back()->inferred);
+  }
+  n->inferred = NodeSchema(*plan, child_schemas, db);
+  n->schema = n->inferred;
+  n->transient_only = IsTransientOnly(plan);
+  switch (plan->kind()) {
+    case PlanKind::kScan:
+    case PlanKind::kUnionAll:
+      break;
+    case PlanKind::kRelationRef:
+      if (resolve_ref != nullptr) {
+        const RefBinding binding = resolve_ref(plan->ref_name());
+        if (binding.schema != nullptr) n->schema = *binding.schema;
+        n->slot = binding.slot;
+      }
+      break;
+    case PlanKind::kSelect:
+      n->schema = n->children[0]->schema;
+      n->pred.emplace(plan->predicate(), n->schema);
+      break;
+    case PlanKind::kMaterialize:
+      n->schema = n->children[0]->schema;
+      break;
+    case PlanKind::kCoalesceProbe:
+      n->schema = n->children[1]->schema;
+      break;
+    case PlanKind::kProject:
+      for (const ProjectItem& item : plan->project_items()) {
+        n->exprs.emplace_back(item.expr, n->children[0]->schema);
+      }
+      break;
+    case PlanKind::kJoin:
+    case PlanKind::kSemiJoin:
+    case PlanKind::kAntiSemiJoin:
+      PrepareBinary(n.get(), db);
+      break;
+    case PlanKind::kAggregate: {
+      const Schema& in = n->children[0]->schema;
+      n->group_cols = in.ColumnIndices(plan->group_by());
+      for (const AggSpec& agg : plan->aggregates()) {
+        if (agg.arg != nullptr) {
+          n->args.emplace_back(BoundExpr(agg.arg, in));
+        } else {
+          n->args.emplace_back(std::nullopt);
+        }
+      }
+      break;
+    }
+  }
+  return n;
+}
+
+// ---- Keyed probes at run time ----------------------------------------------
+
+// Keyed lookup through a probe path. Returns matching rows in the probed
+// subtree's output schema. Only the Scan leaf charges accesses.
+std::vector<Row> DoProbe(const Probe& p, const Row& key,
+                         const EvalContext& ctx) {
+  switch (p.kind) {
+    case PlanKind::kScan: {
+      if (p.pre_state && ctx.pre_state != nullptr) {
+        const auto it = ctx.pre_state->find(p.table);
+        if (it != ctx.pre_state->end()) {
+          return it->second.Probe(p.key_cols, key);
+        }
+      }
+      return ctx.db->GetTable(p.table).LookupWhereEquals(p.key_cols, key);
+    }
+    case PlanKind::kSelect: {
+      std::vector<Row> rows = DoProbe(*p.first, key, ctx);
+      std::vector<Row> out;
+      out.reserve(rows.size());
+      for (Row& row : rows) {
+        if (p.pred->Holds(row)) out.push_back(std::move(row));
+      }
+      return out;
+    }
+    case PlanKind::kProject: {
+      std::vector<Row> rows = DoProbe(*p.first, key, ctx);
       std::vector<Row> out;
       out.reserve(rows.size());
       for (const Row& row : rows) {
         Row projected;
-        projected.reserve(exprs.size());
-        for (const BoundExpr& e : exprs) projected.push_back(e.Eval(row));
+        projected.reserve(p.exprs.size());
+        for (const BoundExpr& e : p.exprs) projected.push_back(e.Eval(row));
         out.push_back(std::move(projected));
       }
       return out;
@@ -246,24 +499,11 @@ std::vector<Row> DoProbe(const PlanPtr& plan,
       // rows for a full-key probe coincide with the base relation's single
       // row. Fall back on miss, or when the base table received
       // updates/deletes this round (the copy may be mid-maintenance).
-      bool unsafe =
-          ctx.assist_unsafe_tables != nullptr &&
-          ctx.assist_unsafe_tables->count(plan->table_name()) > 0;
-      // The FD argument requires the probe key to cover the base table's
-      // primary key (at most one base row per probe key).
-      if (!unsafe && ctx.db->HasTable(plan->table_name())) {
-        for (const std::string& key_col :
-             ctx.db->GetTable(plan->table_name()).key_columns()) {
-          if (std::find(columns.begin(), columns.end(), key_col) ==
-              columns.end()) {
-            unsafe = true;
-            break;
-          }
-        }
-      }
+      const bool unsafe =
+          p.key_misses_pk || (ctx.assist_unsafe_tables != nullptr &&
+                              ctx.assist_unsafe_tables->count(p.table) > 0);
       if (!unsafe) {
-        std::vector<Row> rows =
-            DoProbe(plan->child(0), columns, key, ctx, db);
+        std::vector<Row> rows = DoProbe(*p.first, key, ctx);
         if (!rows.empty()) {
           // The cache may hold several copies (one per join partner); they
           // agree on all projected columns — deduplicate.
@@ -281,35 +521,19 @@ std::vector<Row> DoProbe(const PlanPtr& plan,
           return distinct;
         }
       }
-      return DoProbe(plan->child(1), columns, key, ctx, db);
+      return DoProbe(*p.second, key, ctx);
     }
     case PlanKind::kJoin: {
       // Chained index nested loop: probe one side with the key, then probe
       // the other side per matching row through the equi condition.
-      const Schema left_schema = InferSchema(plan->child(0), db);
-      const Schema right_schema = InferSchema(plan->child(1), db);
-      JoinProbePlan probe;
-      IDIVM_CHECK(PlanJoinProbe(*plan, left_schema, right_schema, columns,
-                                &probe),
-                  "DoProbe on non-probeable join");
-      const Schema& first_schema =
-          probe.first == 0 ? left_schema : right_schema;
-      const std::vector<size_t> link_cols =
-          first_schema.ColumnIndices(probe.first_link_cols);
-      const Schema out_schema = left_schema.Extend(right_schema.columns());
-      const BoundExpr residual(probe.residual, out_schema);
-      std::vector<Row> first_rows =
-          DoProbe(plan->child(probe.first), columns, key, ctx, db);
       std::vector<Row> out;
-      for (const Row& frow : first_rows) {
-        const Row link_key = ProjectRow(frow, link_cols);
+      for (const Row& frow : DoProbe(*p.first, key, ctx)) {
+        const Row link_key = ProjectRow(frow, p.link_cols);
         if (RowKeyHasNull(link_key)) continue;
-        for (const Row& srow :
-             DoProbe(plan->child(1 - probe.first), probe.second_link_cols,
-                     link_key, ctx, db)) {
-          Row combined = probe.first == 0 ? ConcatRows(frow, srow)
-                                          : ConcatRows(srow, frow);
-          if (residual.Holds(combined)) out.push_back(std::move(combined));
+        for (const Row& srow : DoProbe(*p.second, link_key, ctx)) {
+          Row combined = p.first_is_left ? ConcatRows(frow, srow)
+                                         : ConcatRows(srow, frow);
+          if (p.residual->Holds(combined)) out.push_back(std::move(combined));
         }
       }
       return out;
@@ -323,63 +547,21 @@ std::vector<Row> DoProbe(const PlanPtr& plan,
 // reuses it for diff tuples sharing the key (Section 6.1 discussion of a<1).
 class ProbeCache {
  public:
-  ProbeCache(PlanPtr target, std::vector<std::string> columns,
-             EvalContext* ctx, const Database* db)
-      : target_(std::move(target)),
-        columns_(std::move(columns)),
-        ctx_(ctx),
-        db_(db) {}
+  ProbeCache(const Probe& path, const EvalContext& ctx)
+      : path_(path), ctx_(ctx) {}
 
   const std::vector<Row>& Lookup(const Row& key) {
     auto it = cache_.find(key);
     if (it != cache_.end()) return it->second;
-    std::vector<Row> rows = DoProbe(target_, columns_, key, *ctx_, *db_);
+    std::vector<Row> rows = DoProbe(path_, key, ctx_);
     return cache_.emplace(key, std::move(rows)).first->second;
   }
 
  private:
-  struct RowLess {
-    bool operator()(const Row& a, const Row& b) const {
-      return CompareRows(a, b) < 0;
-    }
-  };
-  PlanPtr target_;
-  std::vector<std::string> columns_;
-  EvalContext* ctx_;
-  const Database* db_;
+  const Probe& path_;
+  const EvalContext& ctx_;
   std::map<Row, std::vector<Row>, RowLess> cache_;
 };
-
-}  // namespace
-
-// A multi-component key may span several base relations of a subview;
-// probing on one component and filtering the rest reproduces the DBMS's
-// index choice.
-std::vector<size_t> FindProbeableKeySubset(
-    const PlanPtr& target, const std::vector<std::string>& target_cols,
-    const Database& db) {
-  const size_t n = target_cols.size();
-  if (n == 0 || n > 10) return {};
-  // Try the full set first (common case), then subsets by decreasing size.
-  std::vector<std::vector<size_t>> candidates;
-  for (uint32_t mask = 1; mask < (1u << n); ++mask) {
-    std::vector<size_t> subset;
-    for (size_t i = 0; i < n; ++i) {
-      if (mask & (1u << i)) subset.push_back(i);
-    }
-    candidates.push_back(std::move(subset));
-  }
-  std::sort(candidates.begin(), candidates.end(),
-            [](const auto& a, const auto& b) { return a.size() > b.size(); });
-  for (const std::vector<size_t>& subset : candidates) {
-    std::vector<std::string> cols;
-    for (size_t i : subset) cols.push_back(target_cols[i]);
-    if (CheckProbeable(target, cols, db)) return subset;
-  }
-  return {};
-}
-
-namespace {
 
 // ---- Push-based pipeline ---------------------------------------------------
 //
@@ -387,7 +569,7 @@ namespace {
 // RowSink. A row handed to a sink is valid only for the duration of the
 // call: producers reuse one row buffer per operator, and a row is copied
 // only where it is kept — into a pipeline breaker's materialized input or
-// into Evaluate's result. The breakers are the inputs an operator needs in
+// into Run's result. The breakers are the inputs an operator needs in
 // full before it can emit anything: a hash join's build side, a nested
 // loop's inner side, a semijoin's build side, a transient-only side (its
 // emptiness short-circuits the operator; the diff-driven probe paths loop
@@ -395,42 +577,26 @@ namespace {
 // its left spine through every level's probe, depth first, which emits rows
 // in exactly the order a level-at-a-time evaluation would.
 
-using RowSink = std::function<void(const Row&)>;
+// A non-owning reference to a row consumer. A sink is only ever called
+// while the callable it refers to is alive (the operator that created it is
+// still on the stack), so binding one allocates nothing.
+class RowSink {
+ public:
+  template <typename Fn,
+            typename = std::enable_if_t<
+                !std::is_same_v<std::decay_t<Fn>, RowSink>>>
+  RowSink(Fn&& fn)  // NOLINT(runtime/explicit): wraps lambdas at call sites
+      : callable_(const_cast<void*>(static_cast<const void*>(&fn))),
+        call_([](void* callable, const Row& row) {
+          (*static_cast<std::remove_reference_t<Fn>*>(callable))(row);
+        }) {}
 
-void Stream(const PlanPtr& plan, EvalContext& ctx, const RowSink& sink);
+  void operator()(const Row& row) const { call_(callable_, row); }
 
-// The schema of Evaluate's result: InferSchema's, except that leaves keep
-// the schema of the relation they read and row-preserving operators pass
-// their input's through.
-Schema ResultSchema(const PlanPtr& plan, const EvalContext& ctx) {
-  switch (plan->kind()) {
-    case PlanKind::kScan:
-      if (plan->state() == StateTag::kPre && ctx.pre_state != nullptr) {
-        const auto it = ctx.pre_state->find(plan->table_name());
-        if (it != ctx.pre_state->end()) return it->second.schema();
-      }
-      return ctx.db->GetTable(plan->table_name()).schema();
-    case PlanKind::kRelationRef: {
-      const auto it = ctx.transient.find(plan->ref_name());
-      return it == ctx.transient.end() ? plan->ref_schema()
-                                       : it->second->schema();
-    }
-    case PlanKind::kSelect:
-    case PlanKind::kMaterialize:
-      return ResultSchema(plan->child(0), ctx);
-    case PlanKind::kCoalesceProbe:
-      return ResultSchema(plan->child(1), ctx);
-    default:
-      return InferSchema(plan, *ctx.db);
-  }
-}
-
-// Runs `plan` to completion: a pipeline breaker.
-Relation Materialize(const PlanPtr& plan, EvalContext& ctx) {
-  Relation out(ResultSchema(plan, ctx));
-  Stream(plan, ctx, [&out](const Row& row) { out.Append(row); });
-  return out;
-}
+ private:
+  void* callable_;
+  void (*call_)(void*, const Row&);
+};
 
 bool AnyNull(const Row& row, const std::vector<size_t>& cols) {
   for (size_t c : cols) {
@@ -444,13 +610,24 @@ void ProjectInto(const Row& row, const std::vector<size_t>& cols, Row* out) {
   for (size_t i = 0; i < cols.size(); ++i) (*out)[i] = row[cols[i]];
 }
 
+// SQL equality of a binary operator's unprobed equi pairs between a left
+// and a right row.
+bool UnprobedKeysEqual(const Node& n, const Row& lrow, const Row& rrow) {
+  for (size_t i : n.unprobed) {
+    if (!lrow[n.lk_all[i]].SqlEquals(rrow[n.rk_all[i]])) return false;
+  }
+  return true;
+}
+
 // A binary operator's reused output row: the left input's columns, then the
 // right input's. Filling it copies values into existing slots, so probing
 // a join level allocates nothing per row.
 class ConcatBuffer {
  public:
-  ConcatBuffer(size_t left_width, size_t right_width)
-      : row_(left_width + right_width), left_width_(left_width) {}
+  explicit ConcatBuffer(const Node& n)
+      : row_(n.children[0]->inferred.num_columns() +
+             n.children[1]->inferred.num_columns()),
+        left_width_(n.children[0]->inferred.num_columns()) {}
 
   void SetLeft(const Row& left) {
     std::copy(left.begin(), left.end(), row_.begin());
@@ -470,8 +647,8 @@ class ConcatBuffer {
 // never match and are left out.
 class HashedSide {
  public:
-  HashedSide(Relation rel, std::vector<size_t> key_cols)
-      : rel_(std::move(rel)), key_cols_(std::move(key_cols)) {
+  HashedSide(Relation rel, const std::vector<size_t>& key_cols)
+      : rel_(std::move(rel)), key_cols_(key_cols) {
     for (size_t i = 0; i < rel_.rows().size(); ++i) {
       const Row& row = rel_.rows()[i];
       if (AnyNull(row, key_cols_)) continue;
@@ -502,332 +679,9 @@ class HashedSide {
 
  private:
   Relation rel_;
-  std::vector<size_t> key_cols_;
+  const std::vector<size_t>& key_cols_;
   std::unordered_map<size_t, std::vector<size_t>> buckets_;
 };
-
-// Drives a binary operator whose right input is a pipeline breaker when no
-// diff-driven probe path applies: materializes the right input, hands it to
-// `build`, then feeds the left input's rows to `probe`. A transient-only
-// side is evaluated first, so an empty diff short-circuits without touching
-// stored data, as a pipelined executor would; a transient-only left side is
-// materialized for that check. `empty_right_empties` is false for the
-// antisemijoin, whose output over an empty right input is all of the left.
-void DriveBinary(const PlanPtr& plan, bool empty_right_empties,
-                 EvalContext& ctx, const std::function<void(Relation)>& build,
-                 const RowSink& probe) {
-  const PlanPtr& left = plan->child(0);
-  const PlanPtr& right = plan->child(1);
-  if (IsTransientOnly(left)) {
-    const Relation left_rel = Materialize(left, ctx);
-    if (left_rel.empty()) return;
-    build(Materialize(right, ctx));
-    for (const Row& row : left_rel.rows()) probe(row);
-    return;
-  }
-  Relation right_rel = Materialize(right, ctx);
-  if (right_rel.empty() && empty_right_empties && IsTransientOnly(right)) {
-    return;
-  }
-  build(std::move(right_rel));
-  Stream(left, ctx, probe);
-}
-
-// The equi-join structure of a join or (anti)semijoin predicate.
-struct BinaryKeys {
-  Schema left_schema;
-  Schema right_schema;
-  std::vector<std::string> left_keys;
-  std::vector<std::string> right_keys;
-  std::vector<size_t> lk_all;  // left_keys' positions in left_schema
-  std::vector<size_t> rk_all;  // right_keys' positions in right_schema
-  bool has_residual = false;   // conjuncts beyond the equi pairs
-  ExprPtr residual;
-
-  BinaryKeys(const PlanPtr& plan, const Database& db)
-      : left_schema(InferSchema(plan->child(0), db)),
-        right_schema(InferSchema(plan->child(1), db)) {
-    std::vector<std::pair<std::string, std::string>> equi;
-    const std::vector<ExprPtr> residual_conjuncts =
-        ExtractEquiPairs(plan->predicate(), left_schema.ColumnNameSet(),
-                         right_schema.ColumnNameSet(), &equi);
-    for (const auto& [l, r] : equi) {
-      left_keys.push_back(l);
-      right_keys.push_back(r);
-    }
-    lk_all = left_schema.ColumnIndices(left_keys);
-    rk_all = right_schema.ColumnIndices(right_keys);
-    has_residual = !residual_conjuncts.empty();
-    residual = ConjoinAll(residual_conjuncts);
-  }
-
-  Schema Combined() const { return left_schema.Extend(right_schema.columns()); }
-
-  // The equi-key positions a probe on `subset` leaves to be checked on the
-  // fetched rows.
-  std::vector<size_t> Unprobed(const std::vector<size_t>& subset) const {
-    std::vector<size_t> out;
-    for (size_t i = 0; i < lk_all.size(); ++i) {
-      if (std::find(subset.begin(), subset.end(), i) == subset.end()) {
-        out.push_back(i);
-      }
-    }
-    return out;
-  }
-
-  // SQL equality of the pairs at `positions` between a left and a right row.
-  bool KeysEqual(const Row& lrow, const Row& rrow,
-                 const std::vector<size_t>& positions) const {
-    for (size_t i : positions) {
-      if (!lrow[lk_all[i]].SqlEquals(rrow[rk_all[i]])) return false;
-    }
-    return true;
-  }
-};
-
-void StreamJoin(const PlanPtr& plan, EvalContext& ctx, const RowSink& sink) {
-  const Database& db = *ctx.db;
-  const BinaryKeys keys(plan, db);
-  const Schema out_schema = keys.Combined();
-  ConcatBuffer combined(keys.left_schema.num_columns(),
-                        keys.right_schema.num_columns());
-
-  if (keys.left_keys.empty()) {
-    // No equi conjuncts: nested loop over the materialized inner side.
-    const BoundExpr predicate(plan->predicate(), out_schema);
-    Relation inner;
-    DriveBinary(
-        plan, /*empty_right_empties=*/true, ctx,
-        [&](Relation right_rel) { inner = std::move(right_rel); },
-        [&](const Row& lrow) {
-          combined.SetLeft(lrow);
-          for (const Row& rrow : inner.rows()) {
-            combined.SetRight(rrow);
-            if (predicate.Holds(combined.row())) sink(combined.row());
-          }
-        });
-    return;
-  }
-
-  const BoundExpr residual(keys.residual, out_schema);
-  auto emit_if_residual_holds = [&]() {
-    if (!keys.has_residual || residual.Holds(combined.row())) {
-      sink(combined.row());
-    }
-  };
-
-  // Diff-driven loop plan: probe the stored side once per distinct key of
-  // the transient side. The probe may use a subset of the equi keys;
-  // dropped equalities are checked on the fetched rows.
-  for (const bool diff_is_left : {true, false}) {
-    const PlanPtr& diff_side = plan->child(diff_is_left ? 0 : 1);
-    const PlanPtr& stored_side = plan->child(diff_is_left ? 1 : 0);
-    if (!IsTransientOnly(diff_side)) continue;
-    const std::vector<std::string>& stored_keys =
-        diff_is_left ? keys.right_keys : keys.left_keys;
-    const std::vector<size_t>& diff_key_all =
-        diff_is_left ? keys.lk_all : keys.rk_all;
-    const std::vector<size_t> subset =
-        FindProbeableKeySubset(stored_side, stored_keys, db);
-    if (subset.empty()) continue;
-    const Relation diff_rel = Materialize(diff_side, ctx);
-    std::vector<std::string> probe_cols;
-    std::vector<size_t> diff_key;
-    for (size_t i : subset) {
-      probe_cols.push_back(stored_keys[i]);
-      diff_key.push_back(diff_key_all[i]);
-    }
-    const std::vector<size_t> unprobed = keys.Unprobed(subset);
-    ProbeCache cache(stored_side, probe_cols, &ctx, &db);
-    Row key;
-    for (const Row& drow : diff_rel.rows()) {
-      ProjectInto(drow, diff_key, &key);
-      if (RowKeyHasNull(key)) continue;
-      if (diff_is_left) {
-        combined.SetLeft(drow);
-      } else {
-        combined.SetRight(drow);
-      }
-      for (const Row& srow : cache.Lookup(key)) {
-        if (diff_is_left) {
-          if (!keys.KeysEqual(drow, srow, unprobed)) continue;
-          combined.SetRight(srow);
-        } else {
-          if (!keys.KeysEqual(srow, drow, unprobed)) continue;
-          combined.SetLeft(srow);
-        }
-        emit_if_residual_holds();
-      }
-    }
-    return;
-  }
-
-  // Hash join: the right input is the build side, the left input streams
-  // through it.
-  std::optional<HashedSide> hashed;
-  DriveBinary(
-      plan, /*empty_right_empties=*/true, ctx,
-      [&](Relation right_rel) {
-        hashed.emplace(std::move(right_rel), keys.rk_all);
-      },
-      [&](const Row& lrow) {
-        if (AnyNull(lrow, keys.lk_all)) return;
-        bool left_set = false;
-        hashed->ForEachMatch(lrow, keys.lk_all, [&](const Row& rrow) {
-          if (!left_set) {
-            combined.SetLeft(lrow);
-            left_set = true;
-          }
-          combined.SetRight(rrow);
-          emit_if_residual_holds();
-          return true;
-        });
-      });
-}
-
-void StreamSemi(const PlanPtr& plan, bool anti, EvalContext& ctx,
-                const RowSink& sink) {
-  const Database& db = *ctx.db;
-  const PlanPtr& left = plan->child(0);
-  const PlanPtr& right = plan->child(1);
-  const BinaryKeys keys(plan, db);
-  const Schema combined_schema = keys.Combined();
-  const BoundExpr residual(keys.residual, combined_schema);
-  ConcatBuffer combined(keys.left_schema.num_columns(),
-                        keys.right_schema.num_columns());
-  // The residual of a left/right pair whose equi keys matched.
-  auto residual_holds = [&](const Row& lrow, const Row& rrow) {
-    if (!keys.has_residual) return true;
-    combined.SetLeft(lrow);
-    combined.SetRight(rrow);
-    return residual.Holds(combined.row());
-  };
-  const bool has_equi = !keys.left_keys.empty();
-
-  // Transient left probing a stored right: the common shape of rules like
-  // σφ(∆) ⋉ R and ∆ ⋉̄ Input_post.
-  if (has_equi && IsTransientOnly(left)) {
-    const std::vector<size_t> subset =
-        FindProbeableKeySubset(right, keys.right_keys, db);
-    if (!subset.empty()) {
-      const Relation left_rel = Materialize(left, ctx);
-      std::vector<std::string> probe_cols;
-      std::vector<size_t> lk;
-      for (size_t i : subset) {
-        probe_cols.push_back(keys.right_keys[i]);
-        lk.push_back(keys.lk_all[i]);
-      }
-      const std::vector<size_t> unprobed = keys.Unprobed(subset);
-      ProbeCache cache(right, probe_cols, &ctx, &db);
-      Row key;
-      for (const Row& lrow : left_rel.rows()) {
-        ProjectInto(lrow, lk, &key);
-        if (RowKeyHasNull(key)) {
-          if (anti) sink(lrow);
-          continue;
-        }
-        bool matched = false;
-        for (const Row& rrow : cache.Lookup(key)) {
-          if (keys.KeysEqual(lrow, rrow, unprobed) &&
-              residual_holds(lrow, rrow)) {
-            matched = true;
-            break;
-          }
-        }
-        if (matched != anti) sink(lrow);
-      }
-      return;
-    }
-  }
-
-  // Transient right probing a stored left (Input_post ⋉Ī ∆): probe per
-  // distinct diff key. With a partial probe subset the same left row may be
-  // fetched for several diff keys, so emitted rows are deduplicated.
-  if (!anti && has_equi && IsTransientOnly(right)) {
-    const std::vector<size_t> subset =
-        FindProbeableKeySubset(left, keys.left_keys, db);
-    if (!subset.empty()) {
-      const Relation right_rel = Materialize(right, ctx);
-      std::vector<std::string> probe_cols;
-      std::vector<size_t> rk;
-      for (size_t i : subset) {
-        probe_cols.push_back(keys.left_keys[i]);
-        rk.push_back(keys.rk_all[i]);
-      }
-      const std::vector<size_t> unprobed = keys.Unprobed(subset);
-      const bool partial = subset.size() < keys.left_keys.size();
-      struct RowLess {
-        bool operator()(const Row& a, const Row& b) const {
-          return CompareRows(a, b) < 0;
-        }
-      };
-      std::set<Row, RowLess> emitted;
-      // Group right rows by probe key so residuals against any of them
-      // count once per left row.
-      std::map<Row, std::vector<const Row*>, RowLess> by_key;
-      for (const Row& rrow : right_rel.rows()) {
-        Row key = ProjectRow(rrow, rk);
-        if (RowKeyHasNull(key)) continue;
-        by_key[std::move(key)].push_back(&rrow);
-      }
-      ProbeCache cache(left, probe_cols, &ctx, &db);
-      for (const auto& [key, rrows] : by_key) {
-        for (const Row& lrow : cache.Lookup(key)) {
-          for (const Row* rrow : rrows) {
-            if (keys.KeysEqual(lrow, *rrow, unprobed) &&
-                residual_holds(lrow, *rrow)) {
-              if (!partial || emitted.insert(lrow).second) sink(lrow);
-              break;
-            }
-          }
-        }
-      }
-      return;
-    }
-  }
-
-  // Fallback over a materialized build side. Semijoin with an empty left
-  // or right → empty; antisemijoin with an empty right → all of left (left
-  // must still be evaluated), with an empty left → empty.
-  if (has_equi) {
-    std::optional<HashedSide> hashed;
-    DriveBinary(
-        plan, /*empty_right_empties=*/!anti, ctx,
-        [&](Relation right_rel) {
-          hashed.emplace(std::move(right_rel), keys.rk_all);
-        },
-        [&](const Row& lrow) {
-          bool matched = false;
-          if (!AnyNull(lrow, keys.lk_all)) {
-            hashed->ForEachMatch(lrow, keys.lk_all, [&](const Row& rrow) {
-              matched = residual_holds(lrow, rrow);
-              return !matched;
-            });
-          }
-          if (matched != anti) sink(lrow);
-        });
-    return;
-  }
-  const BoundExpr predicate(plan->predicate(), combined_schema);
-  Relation inner;
-  DriveBinary(
-      plan, /*empty_right_empties=*/!anti, ctx,
-      [&](Relation right_rel) { inner = std::move(right_rel); },
-      [&](const Row& lrow) {
-        bool matched = false;
-        combined.SetLeft(lrow);
-        for (const Row& rrow : inner.rows()) {
-          combined.SetRight(rrow);
-          if (predicate.Holds(combined.row())) {
-            matched = true;
-            break;
-          }
-        }
-        if (matched != anti) sink(lrow);
-      });
-}
-
-// ---- Aggregation -----------------------------------------------------------
 
 struct AggState {
   int64_t row_count = 0;
@@ -839,33 +693,256 @@ struct AggState {
   Value max;
 };
 
-// The group table is the pipeline breaker: the input streams into it, and
-// the groups are emitted in key order once the input is exhausted.
-void StreamAggregate(const PlanPtr& plan, EvalContext& ctx,
-                     const RowSink& sink) {
-  const Schema in_schema = ResultSchema(plan->child(0), ctx);
-  const std::vector<AggSpec>& aggregates = plan->aggregates();
-  const std::vector<size_t> group_cols =
-      in_schema.ColumnIndices(plan->group_by());
-  std::vector<std::optional<BoundExpr>> args;
-  for (const AggSpec& agg : aggregates) {
-    if (agg.arg != nullptr) {
-      args.emplace_back(BoundExpr(agg.arg, in_schema));
-    } else {
-      args.emplace_back(std::nullopt);
-    }
+// One run of a prepared plan against one context.
+class Runner {
+ public:
+  explicit Runner(const EvalContext& ctx) : ctx_(ctx) {}
+
+  // Runs `n` to completion: a pipeline breaker.
+  Relation Materialize(const Node& n) {
+    Relation out(n.schema);
+    Stream(n, [&out](const Row& row) { out.Append(row); });
+    return out;
   }
 
-  struct RowLess {
-    bool operator()(const Row& a, const Row& b) const {
-      return CompareRows(a, b) < 0;
+  void Stream(const Node& n, const RowSink& sink);
+
+ private:
+  void DriveBinary(const Node& n, bool empty_right_empties,
+                   const std::function<void(Relation)>& build,
+                   const RowSink& probe);
+  void StreamJoin(const Node& n, const RowSink& sink);
+  void StreamSemi(const Node& n, const RowSink& sink);
+  void StreamAggregate(const Node& n, const RowSink& sink);
+
+  const EvalContext& ctx_;
+};
+
+// Drives a binary operator whose right input is a pipeline breaker when no
+// diff-driven probe path applies: materializes the right input, hands it to
+// `build`, then feeds the left input's rows to `probe`. A transient-only
+// side is evaluated first, so an empty diff short-circuits without touching
+// stored data, as a pipelined executor would; a transient-only left side is
+// materialized for that check. `empty_right_empties` is false for the
+// antisemijoin, whose output over an empty right input is all of the left.
+void Runner::DriveBinary(const Node& n, bool empty_right_empties,
+                         const std::function<void(Relation)>& build,
+                         const RowSink& probe) {
+  const Node& left = *n.children[0];
+  const Node& right = *n.children[1];
+  if (left.transient_only) {
+    const Relation left_rel = Materialize(left);
+    if (left_rel.empty()) return;
+    build(Materialize(right));
+    for (const Row& row : left_rel.rows()) probe(row);
+    return;
+  }
+  Relation right_rel = Materialize(right);
+  if (right_rel.empty() && empty_right_empties && right.transient_only) {
+    return;
+  }
+  build(std::move(right_rel));
+  Stream(left, probe);
+}
+
+void Runner::StreamJoin(const Node& n, const RowSink& sink) {
+  ConcatBuffer combined(n);
+  auto emit_if_residual_holds = [&]() {
+    if (!n.has_residual || n.residual->Holds(combined.row())) {
+      sink(combined.row());
     }
   };
+  switch (n.strategy) {
+    case Strategy::kNestedLoop: {
+      Relation inner;
+      DriveBinary(
+          n, /*empty_right_empties=*/true,
+          [&](Relation right_rel) { inner = std::move(right_rel); },
+          [&](const Row& lrow) {
+            combined.SetLeft(lrow);
+            for (const Row& rrow : inner.rows()) {
+              combined.SetRight(rrow);
+              if (n.pred->Holds(combined.row())) sink(combined.row());
+            }
+          });
+      return;
+    }
+    case Strategy::kProbeFromLeft:
+    case Strategy::kProbeFromRight: {
+      // Diff-driven loop plan: probe the stored side once per distinct key
+      // of the transient side. The probe may use a subset of the equi keys;
+      // dropped equalities are checked on the fetched rows.
+      const bool diff_is_left = n.strategy == Strategy::kProbeFromLeft;
+      const Relation diff_rel = Materialize(*n.children[diff_is_left ? 0 : 1]);
+      ProbeCache cache(*n.probe, ctx_);
+      Row key;
+      for (const Row& drow : diff_rel.rows()) {
+        ProjectInto(drow, n.drive_key, &key);
+        if (RowKeyHasNull(key)) continue;
+        if (diff_is_left) {
+          combined.SetLeft(drow);
+        } else {
+          combined.SetRight(drow);
+        }
+        for (const Row& srow : cache.Lookup(key)) {
+          if (diff_is_left) {
+            if (!UnprobedKeysEqual(n, drow, srow)) continue;
+            combined.SetRight(srow);
+          } else {
+            if (!UnprobedKeysEqual(n, srow, drow)) continue;
+            combined.SetLeft(srow);
+          }
+          emit_if_residual_holds();
+        }
+      }
+      return;
+    }
+    case Strategy::kHash: {
+      // The right input is the build side, the left input streams through.
+      std::optional<HashedSide> hashed;
+      DriveBinary(
+          n, /*empty_right_empties=*/true,
+          [&](Relation right_rel) {
+            hashed.emplace(std::move(right_rel), n.rk_all);
+          },
+          [&](const Row& lrow) {
+            if (AnyNull(lrow, n.lk_all)) return;
+            bool left_set = false;
+            hashed->ForEachMatch(lrow, n.lk_all, [&](const Row& rrow) {
+              if (!left_set) {
+                combined.SetLeft(lrow);
+                left_set = true;
+              }
+              combined.SetRight(rrow);
+              emit_if_residual_holds();
+              return true;
+            });
+          });
+      return;
+    }
+    case Strategy::kNone:
+      break;
+  }
+  IDIVM_UNREACHABLE("join without a strategy");
+}
+
+void Runner::StreamSemi(const Node& n, const RowSink& sink) {
+  const bool anti = n.plan->kind() == PlanKind::kAntiSemiJoin;
+  ConcatBuffer combined(n);
+  // The residual of a left/right pair whose equi keys matched.
+  auto residual_holds = [&](const Row& lrow, const Row& rrow) {
+    if (!n.has_residual) return true;
+    combined.SetLeft(lrow);
+    combined.SetRight(rrow);
+    return n.residual->Holds(combined.row());
+  };
+  switch (n.strategy) {
+    case Strategy::kProbeFromLeft: {
+      // Transient left probing a stored right: the common shape of rules
+      // like σφ(∆) ⋉ R and ∆ ⋉̄ Input_post.
+      const Relation left_rel = Materialize(*n.children[0]);
+      ProbeCache cache(*n.probe, ctx_);
+      Row key;
+      for (const Row& lrow : left_rel.rows()) {
+        ProjectInto(lrow, n.drive_key, &key);
+        if (RowKeyHasNull(key)) {
+          if (anti) sink(lrow);
+          continue;
+        }
+        bool matched = false;
+        for (const Row& rrow : cache.Lookup(key)) {
+          if (UnprobedKeysEqual(n, lrow, rrow) && residual_holds(lrow, rrow)) {
+            matched = true;
+            break;
+          }
+        }
+        if (matched != anti) sink(lrow);
+      }
+      return;
+    }
+    case Strategy::kProbeFromRight: {
+      // Transient right probing a stored left (Input_post ⋉Ī ∆): probe per
+      // distinct diff key.
+      const Relation right_rel = Materialize(*n.children[1]);
+      std::set<Row, RowLess> emitted;
+      // Group right rows by probe key so residuals against any of them
+      // count once per left row.
+      std::map<Row, std::vector<const Row*>, RowLess> by_key;
+      for (const Row& rrow : right_rel.rows()) {
+        Row key = ProjectRow(rrow, n.drive_key);
+        if (RowKeyHasNull(key)) continue;
+        by_key[std::move(key)].push_back(&rrow);
+      }
+      ProbeCache cache(*n.probe, ctx_);
+      for (const auto& [key, rrows] : by_key) {
+        for (const Row& lrow : cache.Lookup(key)) {
+          for (const Row* rrow : rrows) {
+            if (UnprobedKeysEqual(n, lrow, *rrow) &&
+                residual_holds(lrow, *rrow)) {
+              if (!n.dedup || emitted.insert(lrow).second) sink(lrow);
+              break;
+            }
+          }
+        }
+      }
+      return;
+    }
+    case Strategy::kHash: {
+      // Fallback over a materialized build side. Semijoin with an empty
+      // left or right → empty; antisemijoin with an empty right → all of
+      // left (left must still be evaluated), with an empty left → empty.
+      std::optional<HashedSide> hashed;
+      DriveBinary(
+          n, /*empty_right_empties=*/!anti,
+          [&](Relation right_rel) {
+            hashed.emplace(std::move(right_rel), n.rk_all);
+          },
+          [&](const Row& lrow) {
+            bool matched = false;
+            if (!AnyNull(lrow, n.lk_all)) {
+              hashed->ForEachMatch(lrow, n.lk_all, [&](const Row& rrow) {
+                matched = residual_holds(lrow, rrow);
+                return !matched;
+              });
+            }
+            if (matched != anti) sink(lrow);
+          });
+      return;
+    }
+    case Strategy::kNestedLoop: {
+      Relation inner;
+      DriveBinary(
+          n, /*empty_right_empties=*/!anti,
+          [&](Relation right_rel) { inner = std::move(right_rel); },
+          [&](const Row& lrow) {
+            bool matched = false;
+            combined.SetLeft(lrow);
+            for (const Row& rrow : inner.rows()) {
+              combined.SetRight(rrow);
+              if (n.pred->Holds(combined.row())) {
+                matched = true;
+                break;
+              }
+            }
+            if (matched != anti) sink(lrow);
+          });
+      return;
+    }
+    case Strategy::kNone:
+      break;
+  }
+  IDIVM_UNREACHABLE("semijoin without a strategy");
+}
+
+// The group table is the pipeline breaker: the input streams into it, and
+// the groups are emitted in key order once the input is exhausted.
+void Runner::StreamAggregate(const Node& n, const RowSink& sink) {
+  const std::vector<AggSpec>& aggregates = n.plan->aggregates();
   std::map<Row, std::vector<AggState>, RowLess> groups;
 
   Row key;
-  Stream(plan->child(0), ctx, [&](const Row& row) {
-    ProjectInto(row, group_cols, &key);
+  Stream(*n.children[0], [&](const Row& row) {
+    ProjectInto(row, n.group_cols, &key);
     auto it = groups.find(key);
     if (it == groups.end()) {
       it = groups.emplace(key, std::vector<AggState>(aggregates.size())).first;
@@ -874,8 +951,8 @@ void StreamAggregate(const PlanPtr& plan, EvalContext& ctx,
     for (size_t i = 0; i < aggregates.size(); ++i) {
       AggState& st = states[i];
       ++st.row_count;
-      if (!args[i].has_value()) continue;  // COUNT(*)
-      const Value v = args[i]->Eval(row);
+      if (!n.args[i].has_value()) continue;  // COUNT(*)
+      const Value v = n.args[i]->Eval(row);
       if (v.is_null()) continue;
       ++st.nonnull_count;
       if (v.is_numeric()) {
@@ -909,7 +986,7 @@ void StreamAggregate(const PlanPtr& plan, EvalContext& ctx,
     IDIVM_UNREACHABLE("bad AggFunc");
   };
 
-  if (groups.empty() && plan->group_by().empty()) {
+  if (groups.empty() && n.plan->group_by().empty()) {
     // SQL global aggregate over an empty input: one row.
     Row row;
     const std::vector<AggState> empty_states(aggregates.size());
@@ -929,71 +1006,69 @@ void StreamAggregate(const PlanPtr& plan, EvalContext& ctx,
   }
 }
 
-void Stream(const PlanPtr& plan, EvalContext& ctx, const RowSink& sink) {
-  switch (plan->kind()) {
+void Runner::Stream(const Node& n, const RowSink& sink) {
+  const PlanNode& plan = *n.plan;
+  switch (plan.kind()) {
     case PlanKind::kScan: {
-      if (plan->state() == StateTag::kPre && ctx.pre_state != nullptr) {
-        const auto it = ctx.pre_state->find(plan->table_name());
-        if (it != ctx.pre_state->end()) {
+      if (plan.state() == StateTag::kPre && ctx_.pre_state != nullptr) {
+        const auto it = ctx_.pre_state->find(plan.table_name());
+        if (it != ctx_.pre_state->end()) {
           it->second.ForEachRow(sink);
           return;
         }
       }
-      ctx.db->GetTable(plan->table_name()).ForEachRow(sink);
+      ctx_.db->GetTable(plan.table_name()).ForEachRow(sink);
       return;
     }
     case PlanKind::kRelationRef: {
       // Reserved names produced by the minimizer: statically-empty results
       // (Fig. 8: ∆− ⋈_Ī R → ∅).
-      if (plan->ref_name().rfind("__empty", 0) == 0) return;
-      const auto it = ctx.transient.find(plan->ref_name());
-      IDIVM_CHECK(it != ctx.transient.end(),
-                  StrCat("unbound relation ref: ", plan->ref_name()));
-      IDIVM_CHECK(it->second->schema().ColumnNames() ==
-                      plan->ref_schema().ColumnNames(),
+      if (plan.ref_name().rfind("__empty", 0) == 0) return;
+      const Relation* rel = nullptr;
+      if (n.slot >= 0) {
+        if (static_cast<size_t>(n.slot) < ctx_.slots.size()) {
+          rel = ctx_.slots[n.slot];
+        }
+      } else {
+        const auto it = ctx_.transient.find(plan.ref_name());
+        if (it != ctx_.transient.end()) rel = it->second;
+      }
+      IDIVM_CHECK(rel != nullptr,
+                  StrCat("unbound relation ref: ", plan.ref_name()));
+      IDIVM_CHECK(SameColumnNames(rel->schema(), plan.ref_schema()),
                   StrCat("relation ref schema mismatch for ",
-                         plan->ref_name()));
+                         plan.ref_name()));
       // Transient: reads are free.
-      for (const Row& row : it->second->rows()) sink(row);
+      for (const Row& row : rel->rows()) sink(row);
       return;
     }
-    case PlanKind::kSelect: {
-      const BoundExpr predicate(plan->predicate(),
-                                ResultSchema(plan->child(0), ctx));
-      Stream(plan->child(0), ctx, [&](const Row& row) {
-        if (predicate.Holds(row)) sink(row);
+    case PlanKind::kSelect:
+      Stream(*n.children[0], [&](const Row& row) {
+        if (n.pred->Holds(row)) sink(row);
       });
       return;
-    }
     case PlanKind::kProject: {
-      const Schema in_schema = ResultSchema(plan->child(0), ctx);
-      std::vector<BoundExpr> exprs;
-      exprs.reserve(plan->project_items().size());
-      for (const ProjectItem& item : plan->project_items()) {
-        exprs.emplace_back(item.expr, in_schema);
-      }
-      Row projected(exprs.size());
-      Stream(plan->child(0), ctx, [&](const Row& row) {
-        for (size_t i = 0; i < exprs.size(); ++i) {
-          projected[i] = exprs[i].Eval(row);
+      Row projected;
+      Stream(*n.children[0], [&](const Row& row) {
+        projected.resize(n.exprs.size());
+        for (size_t i = 0; i < n.exprs.size(); ++i) {
+          projected[i] = n.exprs[i].Eval(row);
         }
         sink(projected);
       });
       return;
     }
     case PlanKind::kJoin:
-      StreamJoin(plan, ctx, sink);
+      StreamJoin(n, sink);
       return;
     case PlanKind::kSemiJoin:
-      StreamSemi(plan, /*anti=*/false, ctx, sink);
-      return;
     case PlanKind::kAntiSemiJoin:
-      StreamSemi(plan, /*anti=*/true, ctx, sink);
+      StreamSemi(n, sink);
       return;
     case PlanKind::kUnionAll: {
       Row extended;
       for (int64_t branch = 0; branch < 2; ++branch) {
-        Stream(plan->child(branch), ctx, [&](const Row& row) {
+        Stream(*n.children[branch], [&](const Row& row) {
           extended.assign(row.begin(), row.end());
           extended.push_back(Value(branch));
           sink(extended);
@@ -1002,14 +1077,14 @@ void Stream(const PlanPtr& plan, EvalContext& ctx, const RowSink& sink) {
       return;
     }
     case PlanKind::kAggregate:
-      StreamAggregate(plan, ctx, sink);
+      StreamAggregate(n, sink);
       return;
     case PlanKind::kMaterialize:
-      Stream(plan->child(0), ctx, sink);
+      Stream(*n.children[0], sink);
       return;
     case PlanKind::kCoalesceProbe:
       // As a full relation the node means its base-truth fallback.
-      Stream(plan->child(1), ctx, sink);
+      Stream(*n.children[1], sink);
       return;
   }
   IDIVM_UNREACHABLE("bad PlanKind");
@@ -1017,9 +1092,32 @@ void Stream(const PlanPtr& plan, EvalContext& ctx, const RowSink& sink) {
 
 }  // namespace
 
-Relation Evaluate(const PlanPtr& plan, EvalContext& ctx) {
+PreparedPlan::PreparedPlan(std::unique_ptr<const Node> root)
+    : root_(std::move(root)) {}
+PreparedPlan::PreparedPlan(PreparedPlan&&) noexcept = default;
+PreparedPlan& PreparedPlan::operator=(PreparedPlan&&) noexcept = default;
+PreparedPlan::~PreparedPlan() = default;
+
+const Schema& PreparedPlan::schema() const { return root_->schema; }
+
+Relation PreparedPlan::Run(const EvalContext& ctx) const {
   IDIVM_CHECK(ctx.db != nullptr, "EvalContext requires a database");
-  return Materialize(plan, ctx);
+  return Runner(ctx).Materialize(*root_);
+}
+
+PreparedPlan Prepare(const PlanPtr& plan, const Database& db,
+                     const RefResolver& resolve_ref) {
+  return PreparedPlan(PrepareNode(plan, db, resolve_ref));
+}
+
+Relation Evaluate(const PlanPtr& plan, const EvalContext& ctx) {
+  IDIVM_CHECK(ctx.db != nullptr, "EvalContext requires a database");
+  const RefResolver by_name = [&ctx](const std::string& name) {
+    const auto it = ctx.transient.find(name);
+    return RefBinding{
+        it == ctx.transient.end() ? nullptr : &it->second->schema(), -1};
+  };
+  return Prepare(plan, *ctx.db, by_name).Run(ctx);
 }
 
 }  // namespace idivm

@@ -27,9 +27,11 @@
 
 #include <functional>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "src/algebra/plan.h"
 #include "src/storage/database.h"
@@ -76,56 +78,74 @@ class IndexedRelation {
 struct EvalContext {
   // Stored tables in post-state; never null.
   Database* db = nullptr;
-  // Reconstructed pre-state for modified tables; tables not present here are
-  // identical in pre- and post-state. May be null (no pre-state scans).
+  // Reconstructed pre-state for modified tables, each with its table's
+  // schema; tables not present here are identical in pre- and post-state.
+  // May be null (no pre-state scans).
   const std::map<std::string, IndexedRelation>* pre_state = nullptr;
   // Transient named relations (i-diff / t-diff instances). Reads are free.
   std::map<std::string, const Relation*> transient;
+  // Transient relations by slot, read by the RelationRefs a prepared plan
+  // resolved to a slot (RefBinding::slot); a null entry is unbound. The
+  // ∆-script VM binds its registers here, so a step reads them by index.
+  std::vector<const Relation*> slots;
   // Tables that received updates/deletes this round: CoalesceProbe nodes
   // avoiding one of these must take the fallback path (the cache/view copy
   // of their attributes may be stale mid-script). May be null.
   const std::set<std::string>* assist_unsafe_tables = nullptr;
 };
 
-// Evaluates `plan` to a materialized relation.
-Relation Evaluate(const PlanPtr& plan, EvalContext& ctx);
+// Evaluates `plan` to a materialized relation: Prepare, then one Run.
+Relation Evaluate(const PlanPtr& plan, const EvalContext& ctx);
 
-// ---- Probe planning --------------------------------------------------------
+// ---- Prepare and run -------------------------------------------------------
 //
-// The static half of the diff-driven loop plan: whether a subtree can serve
-// keyed lookups, and how a join decomposes into chained probes. Exposed so
-// the ∆-script compiler (src/exec) makes byte-for-byte the same decisions at
-// compile time that the evaluator makes per evaluation — the decisions
-// depend only on plan structure and stored-table schemas, never on data.
+// Evaluation has two halves. Preparing a plan makes every decision that
+// depends only on plan structure and stored-table schemas: node schemas,
+// bound predicate / projection / aggregate expressions, each join's and
+// semijoin's strategy, probe-key subsets and the keyed-probe paths. Running
+// the prepared plan makes only the decisions that depend on data: the
+// empty-diff short-circuit, whether a pre-state copy of a table is present,
+// the assist-unsafe fallback of view-assisted probes, and the per-run probe
+// cache. The ∆-script compiler (src/exec) prepares each compute step's plan
+// once per program; one-shot callers use Evaluate.
 
-// Decomposes a join for probing from `columns` (all of which must come from
-// one side). On success fills: which side is probed first, the equi keys
-// linking to the other side, and the residual predicate.
-struct JoinProbePlan {
-  size_t first = 0;  // child index probed with the incoming key
-  std::vector<std::string> first_link_cols;   // equi cols on `first` side
-  std::vector<std::string> second_link_cols;  // matching cols on other side
-  ExprPtr residual;
+// How Prepare resolves a RelationRef. `schema` is the schema of the
+// relation bound to it at run time, or null when the caller does not know it
+// (the node keeps its declared schema; a run still checks the bound
+// relation's column names). A run reads the ref from EvalContext::slots at
+// `slot`, or by name from EvalContext::transient when `slot` is -1.
+struct RefBinding {
+  const Schema* schema = nullptr;
+  int slot = -1;
+};
+using RefResolver = std::function<RefBinding(const std::string& name)>;
+
+// A plan prepared for repeated runs (see above); built by Prepare.
+class PreparedPlan {
+ public:
+  struct Node;  // defined in evaluator.cc
+
+  explicit PreparedPlan(std::unique_ptr<const Node> root);
+  PreparedPlan(PreparedPlan&&) noexcept;
+  PreparedPlan& operator=(PreparedPlan&&) noexcept;
+  ~PreparedPlan();
+
+  // The schema of Run's result.
+  const Schema& schema() const;
+
+  // Evaluates the plan against `ctx`. A prepared plan is immutable: runs
+  // from several threads at once are safe, each with its own context.
+  Relation Run(const EvalContext& ctx) const;
+
+ private:
+  std::unique_ptr<const Node> root_;
 };
 
-bool PlanJoinProbe(const PlanNode& join, const Schema& left_schema,
-                   const Schema& right_schema,
-                   const std::vector<std::string>& columns,
-                   JoinProbePlan* out);
-
-// True when keyed lookups on `columns` can be served by stored hash indexes
-// at the subtree's Scan leaves (selections, renaming projections and chained
-// joins applied on the way out).
-bool CheckProbeable(const PlanPtr& plan,
-                    const std::vector<std::string>& columns,
-                    const Database& db);
-
-// Finds a subset of the equi-key positions on which `target` can serve
-// keyed probes, preferring the largest subset (fewest residual checks).
-// Returns an empty vector when no non-empty subset works.
-std::vector<size_t> FindProbeableKeySubset(
-    const PlanPtr& target, const std::vector<std::string>& target_cols,
-    const Database& db);
+// Prepares `plan` against the stored-table schemas of `db`. Every Scan must
+// name a table of `db`. A plan prepared against one database runs against
+// any database whose tables have the same schemas.
+PreparedPlan Prepare(const PlanPtr& plan, const Database& db,
+                     const RefResolver& resolve_ref = nullptr);
 
 }  // namespace idivm
 

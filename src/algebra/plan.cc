@@ -176,68 +176,68 @@ void CheckPredicateColumns(const ExprPtr& predicate, const Schema& schema,
 
 }  // namespace
 
-Schema InferSchema(const PlanPtr& plan, const Database& db) {
-  IDIVM_CHECK(plan != nullptr, "InferSchema(null)");
-  switch (plan->kind()) {
+Schema NodeSchema(const PlanNode& node, const std::vector<Schema>& children,
+                  const Database& db) {
+  switch (node.kind()) {
     case PlanKind::kScan:
-      return db.GetTable(plan->table_name()).schema();
+      return db.GetTable(node.table_name()).schema();
     case PlanKind::kRelationRef:
-      return plan->ref_schema();
+      return node.ref_schema();
     case PlanKind::kSelect: {
-      const Schema child = InferSchema(plan->child(0), db);
-      CheckPredicateColumns(plan->predicate(), child, "selection");
+      const Schema& child = children[0];
+      CheckPredicateColumns(node.predicate(), child, "selection");
       return child;
     }
     case PlanKind::kProject: {
-      const Schema child = InferSchema(plan->child(0), db);
+      const Schema& child = children[0];
       std::vector<ColumnDef> cols;
-      cols.reserve(plan->project_items().size());
-      for (const ProjectItem& item : plan->project_items()) {
+      cols.reserve(node.project_items().size());
+      for (const ProjectItem& item : node.project_items()) {
         CheckPredicateColumns(item.expr, child, "projection");
         cols.push_back({item.name, TypeOfExpr(item.expr, child)});
       }
       return Schema(std::move(cols));
     }
     case PlanKind::kJoin: {
-      const Schema left = InferSchema(plan->child(0), db);
-      const Schema right = InferSchema(plan->child(1), db);
+      const Schema& left = children[0];
+      const Schema& right = children[1];
       Schema out = left.Extend(right.columns());  // checks collisions
-      CheckPredicateColumns(plan->predicate(), out, "join condition");
+      CheckPredicateColumns(node.predicate(), out, "join condition");
       return out;
     }
     case PlanKind::kSemiJoin:
     case PlanKind::kAntiSemiJoin: {
-      const Schema left = InferSchema(plan->child(0), db);
-      const Schema right = InferSchema(plan->child(1), db);
+      const Schema& left = children[0];
+      const Schema& right = children[1];
       const Schema combined = left.Extend(right.columns());
-      CheckPredicateColumns(plan->predicate(), combined,
+      CheckPredicateColumns(node.predicate(), combined,
                             "(anti)semijoin condition");
       return left;
     }
     case PlanKind::kUnionAll: {
-      const Schema left = InferSchema(plan->child(0), db);
-      const Schema right = InferSchema(plan->child(1), db);
+      const Schema& left = children[0];
+      const Schema& right = children[1];
       IDIVM_CHECK(left.ColumnNames() == right.ColumnNames(),
                   StrCat("union all children must share column names: ",
                          left.ToString(), " vs ", right.ToString()));
-      return left.Extend({{plan->branch_column(), DataType::kInt64}});
+      return left.Extend({{node.branch_column(), DataType::kInt64}});
     }
     case PlanKind::kMaterialize:
-      return InferSchema(plan->child(0), db);
+      return children[0];
     case PlanKind::kCoalesceProbe: {
-      const Schema primary = InferSchema(plan->child(0), db);
-      const Schema fallback = InferSchema(plan->child(1), db);
+      const Schema& primary = children[0];
+      const Schema& fallback = children[1];
       IDIVM_CHECK(primary.ColumnNames() == fallback.ColumnNames(),
                   "coalesce-probe paths must share column names");
       return fallback;
     }
     case PlanKind::kAggregate: {
-      const Schema child = InferSchema(plan->child(0), db);
+      const Schema& child = children[0];
       std::vector<ColumnDef> cols;
-      for (const std::string& g : plan->group_by()) {
+      for (const std::string& g : node.group_by()) {
         cols.push_back({g, child.column(child.ColumnIndex(g)).type});
       }
-      for (const AggSpec& agg : plan->aggregates()) {
+      for (const AggSpec& agg : node.aggregates()) {
         DataType type = DataType::kDouble;
         switch (agg.func) {
           case AggFunc::kCount:
@@ -263,6 +263,16 @@ Schema InferSchema(const PlanPtr& plan, const Database& db) {
     }
   }
   IDIVM_UNREACHABLE("bad PlanKind");
+}
+
+Schema InferSchema(const PlanPtr& plan, const Database& db) {
+  IDIVM_CHECK(plan != nullptr, "InferSchema(null)");
+  std::vector<Schema> children;
+  children.reserve(plan->children().size());
+  for (const PlanPtr& child : plan->children()) {
+    children.push_back(InferSchema(child, db));
+  }
+  return NodeSchema(*plan, children, db);
 }
 
 PlanPtr ProjectColumns(PlanPtr child, const std::vector<std::string>& names) {

@@ -144,6 +144,11 @@ DataType TypeOfExpr(const ExprPtr& expr, const Schema& schema);
 // Checks structural validity (arities, name uniqueness, column existence).
 Schema InferSchema(const PlanPtr& plan, const Database& db);
 
+// InferSchema's step for one node: its output schema from its children's
+// output schemas (in child order), with the same checks.
+Schema NodeSchema(const PlanNode& node, const std::vector<Schema>& children,
+                  const Database& db);
+
 // ---- Convenience builders ----
 
 // π that keeps the named columns unchanged.

@@ -19,6 +19,16 @@ Value CastNumeric(DataType type, double v) {
   return Value(v);
 }
 
+// The group-key columns of the step's input.
+Schema GroupKeySchema(const AggregateStep& step) {
+  std::vector<ColumnDef> cols;
+  for (const std::string& g : step.group_by) {
+    cols.push_back(
+        {g, step.input_schema.column(step.input_schema.ColumnIndex(g)).type});
+  }
+  return Schema(cols);
+}
+
 }  // namespace
 
 Status BindAggregateStep(const AggregateStep& step, const DeltaScript& script,
@@ -56,7 +66,21 @@ Status BindAggregateStep(const AggregateStep& step, const DeltaScript& script,
   return OkStatus();
 }
 
-Status AggregateExecutor::Run() {
+PlanPtr RecomputeProbePlan(const AggregateStep& step) {
+  std::vector<ExprPtr> eqs;
+  std::vector<ProjectItem> rename;
+  for (const std::string& g : step.group_by) {
+    rename.push_back({Col(g), StrCat("__k_", g)});
+    eqs.push_back(Eq(Col(g), Col(StrCat("__k_", g))));
+  }
+  return PlanNode::SemiJoin(
+      step.input_post_plan,
+      PlanNode::Project(
+          PlanNode::RelationRef(kGroupKeysRef, GroupKeySchema(step)), rename),
+      ConjoinAll(eqs));
+}
+
+Status AggregateExecutor::Run(AggregateOutputs* out) {
   IDIVM_RETURN_IF_ERROR(BindSpecs());
   IDIVM_RETURN_IF_ERROR(AccumulateDeltas());
   if (step_.mode == AggregateStep::Mode::kIncremental) {
@@ -68,17 +92,19 @@ Status AggregateExecutor::Run() {
   } else {
     RunRecompute();
   }
-  EmitOutputs();
+  out->update = update_->data();
+  out->insert = insert_->data();
+  out->del = delete_->data();
   return OkStatus();
 }
 
 Status AggregateExecutor::Rows(const std::string& name,
                                const Relation** out) {
-  const Relation* rel = transients_->Find(name);
-  if (rel == nullptr) {
+  const auto it = ctx_->transient.find(name);
+  if (it == ctx_->transient.end()) {
     return CorruptScriptError(StrCat("γ input rows missing: ", name));
   }
-  *out = rel;
+  *out = it->second;
   return OkStatus();
 }
 
@@ -369,31 +395,13 @@ void AggregateExecutor::RecomputeGroups(const std::vector<Row>& keys,
                                         EmitMode mode) {
   if (keys.empty()) return;
   // Probe the input's post state per group key.
-  Schema key_schema;
-  {
-    std::vector<ColumnDef> cols;
-    for (const std::string& g : step_.group_by) {
-      cols.push_back({g, step_.input_schema.column(
-                             step_.input_schema.ColumnIndex(g)).type});
-    }
-    key_schema = Schema(cols);
-  }
-  Relation key_rel(key_schema);
+  Relation key_rel(GroupKeySchema(step_));
   for (const Row& key : keys) key_rel.Append(key);
-  const std::string key_name = "__gkeys";
-
-  std::vector<ExprPtr> eqs;
-  std::vector<ProjectItem> rename;
-  for (const std::string& g : step_.group_by) {
-    rename.push_back({Col(g), StrCat("__k_", g)});
-    eqs.push_back(Eq(Col(g), Col(StrCat("__k_", g))));
-  }
-  PlanPtr probe = PlanNode::SemiJoin(
-      step_.input_post_plan,
-      PlanNode::Project(PlanNode::RelationRef(key_name, key_schema),
-                        rename),
-      ConjoinAll(eqs));
-  const Relation rows = transients_->EvaluateScoped(probe, key_name, key_rel);
+  ctx_->transient[kGroupKeysRef] = &key_rel;
+  const Relation rows = recompute_probe_ != nullptr
+                            ? recompute_probe_->Run(*ctx_)
+                            : Evaluate(RecomputeProbePlan(step_), *ctx_);
+  ctx_->transient.erase(kGroupKeysRef);
 
   // Group + recompute exactly (count rows, non-null counts, sums, min/max).
   struct Recomputed {
@@ -486,12 +494,6 @@ void AggregateExecutor::RecomputeGroups(const std::vector<Row>& keys,
       insert_->Append(std::move(row));
     }
   }
-}
-
-void AggregateExecutor::EmitOutputs() {
-  transients_->Publish(step_.out_update, update_->data());
-  transients_->Publish(step_.out_insert, insert_->data());
-  transients_->Publish(step_.out_delete, delete_->data());
 }
 
 }  // namespace idivm

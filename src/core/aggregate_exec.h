@@ -2,9 +2,9 @@
 // ∆-script VM (src/exec): accumulate per-group deltas from the step's
 // row-granularity inputs, then maintain the aggregate either incrementally
 // (optionally through the SUM+COUNT operator cache, Table 12) or by
-// per-group recompute (Table 7). The executor reads inputs and publishes
-// outputs through a TransientAccess (the VM's register file) while the γ
-// semantics — and every stored-table charge — stay in one place.
+// per-group recompute (Table 7). The executor reads its input row sets from
+// the step's EvalContext and hands its three output diffs back to the VM,
+// while the γ semantics — and every stored-table charge — stay in one place.
 
 #ifndef IDIVM_CORE_AGGREGATE_EXEC_H_
 #define IDIVM_CORE_AGGREGATE_EXEC_H_
@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "src/algebra/evaluator.h"
 #include "src/core/delta_script.h"
 #include "src/diff/diff_instance.h"
 #include "src/expr/expr.h"
@@ -23,26 +24,6 @@
 #include "src/storage/database.h"
 
 namespace idivm {
-
-// How the γ executor reaches the transient store: read an input
-// row set, publish an output diff, and evaluate a recompute probe plan with
-// a scratch relation temporarily bound under a reserved name.
-class TransientAccess {
- public:
-  virtual ~TransientAccess() = default;
-
-  // The relation bound to `name`, or nullptr when unbound.
-  virtual const Relation* Find(const std::string& name) = 0;
-
-  // Binds `name` to `rel` (rebinding an existing name).
-  virtual void Publish(const std::string& name, Relation rel) = 0;
-
-  // Evaluates `plan` with `scratch_name` bound to `scratch` for the
-  // duration of the call only.
-  virtual Relation EvaluateScoped(const PlanPtr& plan,
-                                  const std::string& scratch_name,
-                                  const Relation& scratch) = 0;
-};
 
 // Compile-time-resolvable bindings of an AggregateStep: group-by column
 // offsets, argument expressions bound to the input schema, output diff
@@ -103,14 +84,32 @@ class AggAccumulator {
                           GroupDeltaMap* deltas) = 0;
 };
 
-// Executes one AggregateStep against `transients`. Charges stored-table
+// The transient name under which a γ step's recompute probe reads the
+// affected group keys.
+inline constexpr char kGroupKeysRef[] = "__gkeys";
+
+// The recompute probe of a γ step: its input's post state semijoined with
+// the affected group keys, bound under kGroupKeysRef (Input_post ⋉ keys).
+// Needs `step.input_post_plan`.
+PlanPtr RecomputeProbePlan(const AggregateStep& step);
+
+// The three output diffs of one γ step.
+struct AggregateOutputs {
+  Relation update;
+  Relation insert;
+  Relation del;
+};
+
+// Executes one AggregateStep against the step's EvalContext: input row sets
+// are the context's transient relations, and recompute probes run in it
+// with the group keys bound for the probe's duration. Charges stored-table
 // accesses for opcache DML and recompute probe plans; transient reads are
 // free.
 class AggregateExecutor {
  public:
   AggregateExecutor(Database* db, const AggregateStep& step,
-                    TransientAccess* transients)
-      : db_(db), step_(step), transients_(transients) {}
+                    EvalContext* ctx)
+      : db_(db), step_(step), ctx_(ctx) {}
 
   // Output-diff schema lookup for runtime binding (ignored when prebound
   // bindings are supplied).
@@ -122,13 +121,19 @@ class AggregateExecutor {
   void set_bindings(const AggregateBindings* bindings) {
     prebound_ = bindings;
   }
+  // The step's RecomputeProbePlan, prepared once; when null, recompute
+  // probes evaluate the plan per run.
+  void set_recompute_probe(const PreparedPlan* probe) {
+    recompute_probe_ = probe;
+  }
   // Specialized accumulation kernel; when null, the generic per-tuple
   // Contribute() loop runs.
   void set_accumulator(AggAccumulator* accumulator) {
     accumulator_ = accumulator;
   }
 
-  Status Run();
+  // Maintains the aggregate; on success `out` holds the output diffs.
+  Status Run(AggregateOutputs* out);
 
  private:
   // How RecomputeGroups emits diffs for groups that still exist.
@@ -156,14 +161,14 @@ class AggregateExecutor {
   Status RunIncrementalWithOpcache();
   void RunRecompute();
   void RecomputeGroups(const std::vector<Row>& keys, EmitMode mode);
-  void EmitOutputs();
 
   Database* db_;
   const AggregateStep& step_;
-  TransientAccess* transients_;
+  EvalContext* ctx_;
   const DeltaScript* script_schema_lookup_ = nullptr;
   EpochUndo* undo_ = nullptr;
   const AggregateBindings* prebound_ = nullptr;
+  const PreparedPlan* recompute_probe_ = nullptr;
   AggAccumulator* accumulator_ = nullptr;
 
   // Runtime-bound storage (used when `prebound_` is null).

@@ -9,6 +9,7 @@
 
 #include "src/common/check.h"
 #include "src/common/str_util.h"
+#include "src/core/step_access.h"
 
 namespace idivm {
 
@@ -1042,6 +1043,27 @@ LoadResult LoadCompiledView(const std::string& text, const Database& db) {
   for (const std::string& cache : view.cache_tables) {
     if (!db.HasTable(cache)) {
       result.error = StrCat("cache table '", cache, "' does not exist");
+      return result;
+    }
+  }
+  // Every step must resolve: plan refs to relations bound before the step,
+  // scans and stored targets to catalog tables. Executing an unresolvable
+  // step would abort the process at its first epoch, and recomputing a view
+  // whose plan scans a missing table would abort it too.
+  StaticBindings bindings;
+  const Status plan_status = bindings.CheckPlan(view.plan, db);
+  if (!plan_status.ok()) {
+    result.error = StrCat("view plan: ", plan_status.message());
+    return result;
+  }
+  for (const InputDiffBinding& binding : view.input_bindings) {
+    bindings.Bind(binding.name, binding.schema.relation_schema());
+  }
+  for (size_t i = 0; i < view.script.steps.size(); ++i) {
+    const Status status =
+        bindings.CheckAndBindStep(view.script.steps[i], view.script, db);
+    if (!status.ok()) {
+      result.error = StrCat("step ", i, ": ", status.message());
       return result;
     }
   }

@@ -1,21 +1,25 @@
-// Per-step analysis of ∆-scripts, shared by the compiler (src/exec) and the
-// maintainer's merge (src/core/maintainer.cc): the transients and stored
-// tables a plan references, and each step's cost-model phase and stable
-// label (fault sites, per-rule counters and trace spans are all keyed on
-// the label). StepRun is the per-step execution record the VM fills and
-// the maintainer merges in script order.
+// Per-step analysis of ∆-scripts, shared by the compiler (src/exec), the
+// repository loader (src/core/script_io.cc) and the maintainer's merge
+// (src/core/maintainer.cc): the transients a plan references, the
+// transient names each step can read, and each step's cost-model phase and
+// stable label (fault sites, per-rule counters and trace spans are all
+// keyed on the label). StepRun is the per-step execution record the VM
+// fills and the maintainer merges in script order.
 
 #ifndef IDIVM_CORE_STEP_ACCESS_H_
 #define IDIVM_CORE_STEP_ACCESS_H_
 
 #include <cstdint>
+#include <map>
 #include <set>
 #include <string>
 
 #include "src/algebra/plan.h"
 #include "src/core/delta_script.h"
 #include "src/diff/apply.h"
+#include "src/robust/status.h"
 #include "src/storage/access_stats.h"
+#include "src/storage/database.h"
 
 namespace idivm {
 
@@ -23,9 +27,38 @@ namespace idivm {
 // "__empty*" refs resolve without the context and are not reads.
 void CollectTransientRefs(const PlanPtr& plan, std::set<std::string>* out);
 
-// Stored tables a plan may read (Scan leaves in either state; CoalesceProbe
-// children are ordinary subplans and are covered by their own Scans).
-void CollectScanTables(const PlanPtr& plan, std::set<std::string>* out);
+// The transient relations a script binds, tracked step by step in script
+// order. Input bindings are bound from the start (every epoch instantiates
+// each of them, possibly empty); each step's outputs are bound from the next
+// step on: an i-diff compute's result, an APPLY's RETURNING images and a γ
+// step's output diffs. Raw compute results (γ row sets) are read by γ steps
+// by name and are not bindings plans may reference.
+class StaticBindings {
+ public:
+  void Bind(const std::string& name, const Schema& schema);
+
+  // The schema `name` is bound with, or null when unbound.
+  const Schema* Find(const std::string& name) const;
+
+  // Checks `plan` against `db` and the names bound so far: every Scan
+  // names a table, and every RelationRef (other than the minimizer's
+  // statically-empty "__empty*" refs) a bound relation with the ref's column
+  // names. Fails with a kCorruptScript error naming the first violation.
+  Status CheckPlan(const PlanPtr& plan, const Database& db) const;
+
+  // Checks `step`'s plans and stored targets against `db` (see CheckPlan;
+  // APPLY targets and γ operator caches must be tables too), then binds
+  // its outputs.
+  Status CheckAndBindStep(const ScriptStep& step, const DeltaScript& script,
+                          const Database& db);
+
+  // Binds `step`'s outputs without checking.
+  void BindOutputs(const ScriptStep& step, const DeltaScript& script,
+                   const Database& db);
+
+ private:
+  std::map<std::string, Schema> bound_;
+};
 
 // The cost-model phase and label of one script step.
 struct StepAccess {

@@ -1,12 +1,13 @@
 // The ∆-script compiler: lowers a CompiledView's DeltaScript into a
-// CompiledProgram (program.h) executed by the register VM (vm.h). Every
-// decision the evaluator (algebra/evaluator.h) would make per epoch from
-// plan structure and stored schemas — join strategy selection, probe-key
-// subsets, expression binding, diff-schema lookups, γ bindings — is made
-// once here; subtrees the compiler cannot prove byte-identical
-// (statically-unbound relation refs, scans of missing tables) lower to
-// evaluator-fallback ops, so a compiled program never diverges from
-// evaluating the script, it only skips per-epoch work.
+// CompiledProgram (program.h) executed by the register VM (vm.h). It
+// assigns slot registers and table ids, prepares each compute step's plan
+// and each γ step's recompute probe against the stored-table schemas
+// (algebra/evaluator.h), fuses computes into the APPLY they feed, groups
+// APPLYs to one target, and prebinds γ steps with their kernels. Relation
+// refs are read from their slot registers and typed by the names the script
+// binds before each step (StaticBindings); a ref the walk does not know
+// keeps its declared schema, and one without a slot is looked up by name
+// when it runs, as in a one-shot Evaluate.
 
 #ifndef IDIVM_EXEC_COMPILER_H_
 #define IDIVM_EXEC_COMPILER_H_

@@ -1,6 +1,8 @@
 // The register VM executing CompiledPrograms (program.h) — the only
-// ∆-script executor. Slot registers hold transient relations, instructions
-// run one after another in script order on the calling thread, and every
+// ∆-script executor. Slot registers hold transient relations and are bound,
+// as they are published, into one EvalContext per epoch, which every
+// prepared plan and γ step of the program runs against. Instructions run
+// one after another in script order on the calling thread, and every
 // micro-op performs the full per-step bookkeeping — private StatsArena,
 // fault sites, trace windows, undo capture, op-budget check — which the
 // maintainer's merge loop reads back per step.

@@ -1,6 +1,11 @@
 // Unit tests for the plan evaluator: operator semantics, join strategies,
 // probe-path costs (the diff-driven loop plan of Section 6), pre-state
-// scans and short-circuiting of empty diffs.
+// scans, short-circuiting of empty diffs, and prepared plans whose runs do
+// not depend on the data they were prepared without.
+
+#include <map>
+#include <set>
+#include <string>
 
 #include "gtest/gtest.h"
 #include "src/algebra/evaluator.h"
@@ -294,6 +299,69 @@ TEST_F(EvaluatorTest, PreStateScan) {
   ctx.pre_state = &pre_state;
   EXPECT_EQ(Evaluate(PlanNode::Scan("r", StateTag::kPre), ctx).size(), 1u);
   EXPECT_EQ(Evaluate(PlanNode::Scan("r", StateTag::kPost), ctx).size(), 12u);
+}
+
+TEST_F(EvaluatorTest, PreparedPlanRunsMatchFreshEvaluation) {
+  // A stale view copy of s (same columns, different w) for a view-assisted
+  // probe that avoids s.
+  Table& s_view = db_.CreateTable(
+      "s_view", db_.GetTable("s").schema(), {"sid"});
+  Relation stale(s_view.schema());
+  for (int64_t i = 0; i < 4; ++i) stale.Append({Value(i), Value("stale")});
+  s_view.BulkLoadUncounted(stale);
+
+  // d probes r's pre-state on rid; the materialized result then drives a
+  // view-assisted probe of s on k = sid.
+  const Schema d_schema({{"dk", DataType::kInt64}});
+  const PlanPtr plan = PlanNode::Join(
+      PlanNode::Materialize(PlanNode::Join(
+          PlanNode::RelationRef("d", d_schema),
+          PlanNode::Scan("r", StateTag::kPre), Eq(Col("dk"), Col("rid")))),
+      PlanNode::CoalesceProbe(PlanNode::Scan("s_view"), PlanNode::Scan("s"),
+                              "s"),
+      Eq(Col("k"), Col("sid")));
+  const PreparedPlan prepared = Prepare(plan, db_);
+
+  Relation empty_diff(d_schema);
+  Relation diff(d_schema);
+  for (int64_t rid : {1, 6, 6, 11}) diff.Append({Value(rid)});
+  Relation pre(db_.GetTable("r").schema());
+  pre.Append({Value(int64_t{6}), Value(int64_t{3}), Value(-6.0)});
+  std::map<std::string, IndexedRelation> pre_state;
+  pre_state.emplace("r", IndexedRelation(pre, &db_.stats()));
+  const std::set<std::string> unsafe = {"s"};
+
+  struct Case {
+    const char* name;
+    const Relation* diff;
+    bool with_pre_state;
+    bool s_unsafe;
+  };
+  const Case cases[] = {
+      {"empty diff", &empty_diff, true, false},
+      {"no pre-state", &diff, false, false},
+      {"pre-state", &diff, true, false},
+      {"assist-unsafe", &diff, true, true},
+      {"no pre-state, assist-unsafe", &diff, false, true},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    EvalContext ctx;
+    ctx.db = &db_;
+    ctx.transient["d"] = c.diff;
+    ctx.pre_state = c.with_pre_state ? &pre_state : nullptr;
+    ctx.assist_unsafe_tables = c.s_unsafe ? &unsafe : nullptr;
+
+    db_.stats().Reset();
+    const Relation fresh = Evaluate(plan, ctx);
+    const AccessStats fresh_stats = db_.stats();
+    db_.stats().Reset();
+    const Relation run = prepared.Run(ctx);
+    EXPECT_EQ(run.schema(), fresh.schema());
+    EXPECT_EQ(run.rows(), fresh.rows());  // same rows, same order
+    EXPECT_EQ(db_.stats().ToString(), fresh_stats.ToString());
+    EXPECT_EQ(run.empty(), c.diff->empty());
+  }
 }
 
 TEST_F(EvaluatorTest, IndexedRelationProbeCosts) {

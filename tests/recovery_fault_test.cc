@@ -4,6 +4,10 @@
 // that recovery lands exactly on the last valid COMMIT with every recovered
 // view identical to a from-scratch recompute over the recovered base tables.
 
+#include <unistd.h>
+
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -49,11 +53,22 @@ struct Golden {
   WalReadResult wal;  // pristine read: records + end offsets
 };
 
+const Golden& GoldenRun();
+
+void RemoveGoldenFiles() {
+  std::remove(GoldenRun().snapshot_path.c_str());
+  std::remove(GoldenRun().wal_path.c_str());
+}
+
 const Golden& GoldenRun() {
   static const Golden* golden = [] {
     auto* g = new Golden;
-    g->snapshot_path = ::testing::TempDir() + "idivm_fault_golden.snap";
-    g->wal_path = ::testing::TempDir() + "idivm_fault_golden.wal";
+    // Per-process files: ctest runs this suite's tests, shards included, as
+    // concurrent processes, and each builds its own golden run.
+    const std::string stem =
+        StrCat(::testing::TempDir(), "idivm_fault_golden_", getpid());
+    g->snapshot_path = stem + ".snap";
+    g->wal_path = stem + ".wal";
     g->views = {"q7", "qs1"};
 
     Database db;
@@ -84,6 +99,7 @@ const Golden& GoldenRun() {
     IDIVM_CHECK(!g->wal.truncated);
     IDIVM_CHECK(static_cast<int>(g->wal.records.size()) ==
                 kModifications + kModifications / kCommitEvery);
+    std::atexit(RemoveGoldenFiles);
     return g;
   }();
   return *golden;
@@ -136,13 +152,22 @@ void ExpectRecoversTo(const std::string& wal_path,
   }
 }
 
-TEST(RecoveryFaultTest, CrashAtEveryRecordBoundary) {
+// The exhaustive crash sweep runs as shards: shard i checks the record
+// boundaries congruent to i modulo kBoundaryShards, so the shards together
+// check every boundary exactly once.
+constexpr int kBoundaryShards = 8;
+
+class RecoveryFaultBoundaryTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(RecoveryFaultBoundaryTest, CrashAtEveryRecordBoundary) {
   const Golden& g = GoldenRun();
   FaultFile fault(g.wal_path,
-                  ::testing::TempDir() + "idivm_fault_boundary.wal");
+                  ::testing::TempDir() +
+                      StrCat("idivm_fault_boundary_", GetParam(), ".wal"));
   // Boundary 0 is "crashed before any record made it out" (header only);
   // boundary i > 0 is "crashed right after record i-1 hit the disk".
-  for (size_t i = 0; i <= g.wal.records.size(); ++i) {
+  for (size_t i = GetParam(); i <= g.wal.records.size();
+       i += kBoundaryShards) {
     const uint64_t cut =
         (i == 0) ? kWalHeaderBytes : g.wal.record_end_offsets[i - 1];
     SCOPED_TRACE(StrCat("boundary ", i, " (", cut, " bytes)"));
@@ -151,6 +176,9 @@ TEST(RecoveryFaultTest, CrashAtEveryRecordBoundary) {
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Shards, RecoveryFaultBoundaryTest,
+                         ::testing::Range(0, kBoundaryShards));
 
 TEST(RecoveryFaultTest, TornRecordInTail) {
   const Golden& g = GoldenRun();

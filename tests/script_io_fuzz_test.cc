@@ -1,8 +1,10 @@
 // Fuzzing the ∆-script repository parser (src/core/script_io): a loaded
 // script is external input, so every truncation and byte-level mutation of
 // a valid serialization must come back as a parse error — never a crash,
-// abort, or exception. The corpus is a real serialized BSMA view (the
-// richest script shape: joins, aggregates, caches, diff registries).
+// abort, or exception — and a script that parses but cannot run must be
+// rejected at load rather than abort at its first epoch. The corpus is a
+// real serialized BSMA view (the richest script shape: joins, aggregates,
+// caches, diff registries).
 
 #include <string>
 
@@ -10,6 +12,7 @@
 #include "src/common/rng.h"
 #include "src/core/compose.h"
 #include "src/core/maintainer.h"
+#include "src/core/modification_log.h"
 #include "src/core/script_io.h"
 #include "src/core/view_manager.h"
 #include "src/workload/bsma.h"
@@ -44,21 +47,6 @@ TEST_F(ScriptIoFuzzTest, CorpusRoundTrips) {
   const LoadResult result = LoadCompiledView(corpus_, db_);
   ASSERT_TRUE(result.ok) << result.error;
   EXPECT_EQ(SerializeCompiledView(result.view), corpus_);
-}
-
-// Every prefix of the corpus is a truncated dump: load must either fail
-// with a message or — when only trailing whitespace was cut — still
-// round-trip to the full corpus. Never a crash.
-TEST_F(ScriptIoFuzzTest, EveryTruncationIsAParseError) {
-  for (size_t len = 0; len < corpus_.size(); ++len) {
-    const LoadResult result = LoadCompiledView(corpus_.substr(0, len), db_);
-    if (result.ok) {
-      EXPECT_EQ(SerializeCompiledView(result.view), corpus_)
-          << "truncation at " << len << " parsed to a different view";
-    } else {
-      EXPECT_FALSE(result.error.empty()) << "truncation at " << len;
-    }
-  }
 }
 
 // Seeded random byte mutations: flip 1-8 bytes to arbitrary values. The
@@ -113,8 +101,32 @@ TEST_F(ScriptIoFuzzTest, NumericSplicesAreRejectedNotFatal) {
   }
 }
 
+// The exhaustive truncation sweeps run as shards: shard i checks the prefix
+// lengths congruent to i modulo kTruncationShards, so the shards together
+// check every prefix exactly once.
+constexpr int kTruncationShards = 8;
+
+class ScriptIoTruncationTest : public ScriptIoFuzzTest,
+                               public ::testing::WithParamInterface<int> {};
+
+// Every prefix of the corpus is a truncated dump: load must either fail
+// with a message or — when only trailing whitespace was cut — still
+// round-trip to the full corpus. Never a crash.
+TEST_P(ScriptIoTruncationTest, EveryTruncationIsAParseError) {
+  for (size_t len = GetParam(); len < corpus_.size();
+       len += kTruncationShards) {
+    const LoadResult result = LoadCompiledView(corpus_.substr(0, len), db_);
+    if (result.ok) {
+      EXPECT_EQ(SerializeCompiledView(result.view), corpus_)
+          << "truncation at " << len << " parsed to a different view";
+    } else {
+      EXPECT_FALSE(result.error.empty()) << "truncation at " << len;
+    }
+  }
+}
+
 // The repository wrapper (header + per-view sections) is hardened too.
-TEST_F(ScriptIoFuzzTest, RepositoryTruncationsAreErrors) {
+TEST_P(ScriptIoTruncationTest, RepositoryTruncationsAreErrors) {
   Database db;
   testing::LoadRunningExample(&db);
   ViewManager vm(&db);
@@ -132,7 +144,7 @@ TEST_F(ScriptIoFuzzTest, RepositoryTruncationsAreErrors) {
       replica.CreateTable(name, table.schema(), table.key_columns());
     }
   }
-  for (size_t len = 0; len < repo.size(); ++len) {
+  for (size_t len = GetParam(); len < repo.size(); len += kTruncationShards) {
     ViewManager fresh(&replica);
     const std::string error = fresh.LoadRepository(repo.substr(0, len));
     if (error.empty()) {
@@ -143,6 +155,50 @@ TEST_F(ScriptIoFuzzTest, RepositoryTruncationsAreErrors) {
   }
   ViewManager full(&replica);
   EXPECT_EQ(full.LoadRepository(repo), "");
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, ScriptIoTruncationTest,
+                         ::testing::Range(0, kTruncationShards));
+
+// A script whose steps cannot resolve parses, but executing it would abort
+// the process at its first epoch: load must reject it instead. Mutates one
+// string literal in the steps of the running-example SPJ view's
+// serialization; when the mutated view loads anyway, a price update on
+// parts is maintained through it (which must then not abort).
+void ExpectUnresolvableStepRejected(const std::string& from,
+                                    const std::string& to,
+                                    const std::string& error_part) {
+  Database db;
+  testing::LoadRunningExample(&db);
+  const CompiledView view =
+      CompileView("v", testing::RunningExampleSpjPlan(db), db);
+  std::string text = SerializeCompiledView(view);
+  const size_t pos = text.find(from, text.find("(steps"));
+  ASSERT_NE(pos, std::string::npos) << from;
+  text.replace(pos, from.size(), to);
+
+  const LoadResult loaded = LoadCompiledView(text, db);
+  if (loaded.ok) {
+    Maintainer m(&db, loaded.view);
+    ModificationLogger logger(&db);
+    ASSERT_TRUE(
+        logger.Update("parts", {Value("P1")}, {"price"}, {Value(11.0)}));
+    MaintainResult result;
+    (void)m.TryMaintain(logger.NetChanges(), MaintainOptions(), &result);
+  }
+  EXPECT_FALSE(loaded.ok);
+  EXPECT_NE(loaded.error.find(error_part), std::string::npos) << loaded.error;
+}
+
+TEST_F(ScriptIoFuzzTest, UnboundRelationRefIsRejectedAtLoad) {
+  ExpectUnresolvableStepRejected("(ref \"in_u_parts_2\"",
+                                 "(ref \"in_u_parts_9\"",
+                                 "unbound relation ref 'in_u_parts_9'");
+}
+
+TEST_F(ScriptIoFuzzTest, ScanOfUnknownTableIsRejectedAtLoad) {
+  ExpectUnresolvableStepRejected("(scan \"devices\")", "(scan \"devicez\")",
+                                 "scan of unknown table 'devicez'");
 }
 
 }  // namespace
