@@ -537,12 +537,15 @@ CompiledView CompileView(const std::string& view_name, const PlanPtr& plan,
   std::vector<NodeDiff> root_diffs =
       composer.Compose(annotated.plan, &post_plan, &pre_plan);
 
-  // Materialize the view.
+  // Materialize the view over the caches Compose just filled: post_plan
+  // reads every cached γ input as a Scan of its cache, so no input chain is
+  // evaluated twice. A cache holds its chain's rows in evaluation order, so
+  // the view's rows keep the slot order of evaluating the original plan.
   Table& view = db.CreateTable(view_name, out.view_schema, out.view_ids);
   {
     EvalContext ctx;
     ctx.db = &db;
-    view.BulkLoadUncounted(Evaluate(annotated.plan, ctx));
+    view.BulkLoadUncounted(Evaluate(post_plan, ctx));
     if (!options.charge_materialization) db.stats().Reset();
   }
 

@@ -41,9 +41,12 @@ class StaticBindings {
   const Schema* Find(const std::string& name) const;
 
   // Checks `plan` against `db` and the names bound so far: every Scan
-  // names a table, and every RelationRef (other than the minimizer's
+  // names a table, every RelationRef (other than the minimizer's
   // statically-empty "__empty*" refs) a bound relation with the ref's column
-  // names. Fails with a kCorruptScript error naming the first violation.
+  // names, and every column a predicate, projection, group-by or aggregate
+  // argument references exists in its input, so that inferring the plan's
+  // schema cannot abort. Fails with a kCorruptScript error naming the first
+  // violation.
   Status CheckPlan(const PlanPtr& plan, const Database& db) const;
 
   // Checks `step`'s plans and stored targets against `db` (see CheckPlan;
@@ -57,6 +60,10 @@ class StaticBindings {
                    const Database& db);
 
  private:
+  // CheckPlan's bottom-up walk; sets `schema` to `node`'s output schema.
+  Status CheckPlanSchema(const PlanNode& node, const Database& db,
+                         Schema* schema) const;
+
   std::map<std::string, Schema> bound_;
 };
 

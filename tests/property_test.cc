@@ -2,7 +2,8 @@
 // catalogue of view shapes covering every Q_SPJADU operator, the maintained
 // view must equal recomputation — across all compiler option combinations
 // (minimization on/off, caches on/off, specialized γ rules on/off,
-// diff-only rule branches on/off).
+// diff-only rule branches on/off). A materialized view must also hold its
+// plan's evaluation row for row in slot order.
 
 #include <string>
 #include <tuple>
@@ -13,6 +14,7 @@
 #include "src/core/compose.h"
 #include "src/core/maintainer.h"
 #include "src/core/modification_log.h"
+#include "src/core/view_manager.h"
 #include "tests/test_util.h"
 
 namespace idivm {
@@ -342,6 +344,52 @@ TEST_P(IvmPropertyTest, MaintainedViewEqualsRecompute) {
         "round " + std::to_string(round) + " of " + param.name);
     if (::testing::Test::HasFailure()) break;
   }
+}
+
+// Asserts the `view` table holds exactly the rows of evaluating `plan`, row
+// for row in slot order.
+void ExpectViewIsEvaluationInSlotOrder(Database* db, const PlanPtr& plan,
+                                       const std::string& view,
+                                       const std::string& context) {
+  const Relation expected = testing::Recompute(db, plan);
+  const Relation actual = db->GetTable(view).SnapshotUncounted();
+  EXPECT_EQ(actual.schema().ColumnNames(), expected.schema().ColumnNames())
+      << context;
+  EXPECT_TRUE(actual.rows() == expected.rows())
+      << context << "\nexpected (evaluated):\n"
+      << expected.ToString() << "\nactual (materialized):\n"
+      << actual.ToString();
+}
+
+// A view is materialized over the caches its compilation fills, not by
+// evaluating its plan again: the result must still be the plan's rows in the
+// plan's own order, at definition and after a rematerialization of
+// maintained state (RecomputeAllViews, the degradation ladder's recompute
+// rung and recovery's fallback all compile the same way).
+TEST_P(IvmPropertyTest, MaterializedViewIsPlanEvaluationInSlotOrder) {
+  const PropertyCase& param = GetParam();
+  Database db;
+  Rng rng(param.seed * 7919 + 13);
+  LoadRandomDatabase(&db, &rng, /*rows_per_table=*/40);
+  int64_t next_rid = 40;
+  int64_t next_tid = 20;
+
+  ViewManager manager(&db);
+  const PlanPtr plan =
+      manager.DefineView("v", MakeViewPlan(param.shape, db), param.options)
+          .view()
+          .plan;
+  ExpectViewIsEvaluationInSlotOrder(&db, plan, "v", "after DefineView");
+
+  // Change the base tables behind the manager's back (leaving free slots
+  // and reused slots in them), then rematerialize.
+  ModificationLogger logger(&db);
+  for (int round = 0; round < 2; ++round) {
+    ApplyRandomBatch(&db, &logger, &rng, &next_rid, &next_tid);
+  }
+  manager.RecomputeAllViews();
+  ExpectViewIsEvaluationInSlotOrder(&db, plan, "v",
+                                    "after RecomputeAllViews");
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -201,5 +201,42 @@ TEST_F(ScriptIoFuzzTest, ScanOfUnknownTableIsRejectedAtLoad) {
                                  "scan of unknown table 'devicez'");
 }
 
+TEST_F(ScriptIoFuzzTest, UnknownColumnIsRejectedAtLoad) {
+  ExpectUnresolvableStepRejected("(col \"category\") (lit",
+                                 "(col \"categorx\") (lit",
+                                 "unknown column 'categorx'");
+}
+
+TEST_F(ScriptIoFuzzTest, DuplicateProjectionNameIsRejectedAtLoad) {
+  ExpectUnresolvableStepRejected(
+      "(item (col \"pid\") \"__rhs_pid\")) (ref",
+      "(item (col \"pid\") \"did\")) (ref",
+      "projection yields duplicate column 'did'");
+}
+
+// The same unknown-column mutation through a whole repository dump: LoadRepository
+// reports it and registers no view, so no epoch ever runs the step.
+TEST_F(ScriptIoFuzzTest, UnknownColumnIsRejectedByLoadRepository) {
+  Database db;
+  testing::LoadRunningExample(&db);
+  std::string repo;
+  {
+    ViewManager manager(&db);
+    manager.DefineView("v", testing::RunningExampleSpjPlan(db));
+    repo = manager.SerializeRepository();
+  }
+  const std::string from = "(col \"category\") (lit";
+  const size_t pos = repo.find(from, repo.find("(steps"));
+  ASSERT_NE(pos, std::string::npos);
+  repo.replace(pos, from.size(), "(col \"categorx\") (lit");
+
+  ViewManager fresh(&db);
+  const std::string error = fresh.LoadRepository(repo);
+  EXPECT_NE(error.find("selection references unknown column 'categorx'"),
+            std::string::npos)
+      << error;
+  EXPECT_FALSE(fresh.HasView("v"));
+}
+
 }  // namespace
 }  // namespace idivm
